@@ -45,13 +45,11 @@ def _write_json(path: str, data: dict) -> None:
 
 def _load_config(args) -> RefuteConfig:
     config = DEFAULT_CONFIG
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = RefuteConfig.from_json_dict(json.loads(Path(args.config).read_text()))
         except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             raise CliError(f"bad config file {args.config}: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        config = config.with_overrides(seed=args.seed)
     return config
 
 
@@ -97,8 +95,6 @@ def cmd_generate(args) -> int:
 
 def cmd_reduce(args) -> int:
     """Reduce a k-XOR instance to partitioned 2-XOR; writes a dictionary sidecar."""
-    if args.eps is not None:
-        _check_eps(args.eps)  # validated for interface compatibility; unused here
     inst = _load_instance(args.infile)
     if not isinstance(inst, KXorInstance):
         raise CliError("reduce expects a kxor instance")
@@ -188,14 +184,13 @@ def cmd_verify(args) -> int:
 def _experiment_cell(item: tuple) -> tuple:
     """One (family, n, m, eps, seed) run; returns a finished CSV row."""
     family, n, k_or_ell, m, eps, seed = item
-    config = DEFAULT_CONFIG.with_overrides(seed=seed)
     start = time.perf_counter()
     if family == "p2xor":
         inst = gen_random_partitioned(n, k_or_ell, m, seed)
-        cert = refute_partitioned(inst, eps, config)
+        cert = refute_partitioned(inst, eps)
     else:
         spec = GenSpec(kind=family, n=n, m=m, seed=seed, k=k_or_ell)
-        cert = refute_kxor(gen_kxor(spec), eps, config)
+        cert = refute_kxor(gen_kxor(spec), eps)
     wall_ms = (time.perf_counter() - start) * 1000.0
     dec = cert.payload["decomposition"]
     return (family, n, k_or_ell, m, eps, seed, cert.outcome,
@@ -276,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce k-XOR to partitioned 2-XOR")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", type=float, help="accepted for interface parity; unused")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
@@ -290,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", help="refute and write a certificate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, help="overrides the config seed")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--config", help="JSON config file")
     p.add_argument("-o", "--out", help="certificate output path")
     p.set_defaults(func=cmd_refute)
 

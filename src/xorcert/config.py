@@ -21,19 +21,6 @@ class RefuteConfig:
     norm_max_iter: int = 1500
     # PSD feasibility slack, relative to the matrix scale
     psd_slack_rel: float = 1e-9
-    # dual-certificate optimizer
-    sdp_budget: int = 2000
-    sdp_eta0: float = 0.1
-    sdp_barrier_dim_cap: int = 400
-    # rounding trials for the heuristic lower bound
-    round_trials: int = 32
-    # seed for every seeded internal step (norm restarts, rounding)
-    seed: int = 0
-    # diagnostics: certified-vs-true ratio targets for the dual bound
-    kg_target: float = 1.8
-    loose_factor: float = 3.0
-    # brute-force enumeration cap (total enumerated variables)
-    brute_cap: int = 24
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -12,11 +12,15 @@ with the prover's own functions and compared exactly (``==``): the heavy
 ``dual.bound``, ``bound``, ``val_upper`` and ``side_bound``; each light
 block's ``contribution``; the light ``phi1_bound``, ``phi_total_bound``,
 ``implied_eps``, ``val_upper`` and ``side_bound``; and the top-level
-``certified_val_upper``.  Floats round-trip exactly through JSON, so an
-honest certificate matches bit for bit and a one-ulp shave is rejected.
-Numbers re-derived from the instance itself (``alpha``, ``beta``,
-``sigma2``, ``r_bound``, ``bernstein_t``, ``phi2_term``, ``dup_correction``,
-``threshold``) are compared at a relative tolerance of 1e-7.  NaN and
+``certified_val_upper``.  ``phi2_term`` and ``dup_correction`` are fsums
+over the instance, so they too are recomputed and compared exactly, and the
+light bound is assembled from the verifier's own values.  Floats round-trip
+exactly through JSON, so an honest certificate matches bit for bit and a
+one-ulp shave is rejected.  A block's claimed ``norm_upper`` must be at least
+the verifier's own certified upper bound for the rebuilt block.  Other
+numbers re-derived from the instance (``alpha``, ``beta``, ``sigma2``,
+``r_bound``, ``bernstein_t``, ``threshold``) are compared at a relative
+tolerance of 1e-7.  A payload that is not a JSON object is rejected.  NaN and
 infinite dual entries are rejected, and ``Certificate.load`` refuses the
 ``NaN`` / ``Infinity`` JSON literals.
 """
@@ -261,11 +265,12 @@ def _verify_light(payload: dict, dec: Decomposition, eps_half: float,
         if rec["nnz"] != block.mat.nnz:
             failures.append(f"block {key} support size does not match")
             return
+        # the prover ran the same call on the same block, so an honest
+        # certificate records exactly fresh.upper
         fresh = spectral_norm(block.mat, tol=config.norm_tol, max_iter=config.norm_max_iter)
-        scale = max(1.0, fresh.lower)
-        if rec["norm_upper"] < fresh.lower - _REL_TOL * scale:
+        if rec["norm_upper"] < fresh.upper:
             failures.append(f"block {key} claimed norm upper {rec['norm_upper']} "
-                            f"is below the fresh lower bound {fresh.lower}")
+                            f"is below the certified upper bound {fresh.upper}")
             return
         if rec["norm_lower"] > rec["norm_upper"]:
             failures.append(f"block {key} has an inverted norm sandwich")
@@ -286,12 +291,11 @@ def _verify_light(payload: dict, dec: Decomposition, eps_half: float,
             return
     phi2 = phi2_term(profile)
     c0 = dup_correction(inst, profile)
-    if not (_close(report["phi2_term"], phi2) and _close(report["dup_correction"], c0)):
+    if report["phi2_term"] != phi2 or report["dup_correction"] != c0:
         failures.append("phi constant terms do not re-derive")
         return
     want = assemble_phi_bound([claimed[key]["contribution"] for key in sorted(blocks)],
-                              report["dup_correction"], report["phi2_term"],
-                              eps_half, m, ell_eff)
+                              c0, phi2, eps_half, m, ell_eff)
     if not _close(report["threshold"], want["threshold"]):
         failures.append("phi threshold does not re-derive")
         return
@@ -356,6 +360,9 @@ def verify_certificate_detailed(cert: Certificate, inst) -> tuple[bool, list[str
     """Full re-derivation check; returns (ok, failure descriptions)."""
     failures: list[str] = []
     payload = cert.payload
+    if not isinstance(payload, dict):
+        return False, [f"malformed certificate: payload is a {type(payload).__name__}, "
+                       "not a JSON object"]
     try:
         if payload.get("schema") != SCHEMA:
             return False, [f"unsupported schema {payload.get('schema')!r}"]

@@ -131,34 +131,6 @@ def _barrier_solve(w: np.ndarray, d0: np.ndarray, gap_rel: float = 1e-7) -> np.n
     return d
 
 
-def _min_eig_estimate(z: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(z)
-    return float(vals[0]), vecs[:, 0]
-
-
-def _subgradient_solve(w: np.ndarray, d0: np.ndarray, budget: int, eta0: float) -> np.ndarray:
-    """Projected subgradient on the exact penalty sum(d) + rho * max(0, -lambda_min)."""
-    n = w.shape[0]
-    rho = 2.0 * n
-    d = d0.astype(np.float64).copy()
-    step0 = eta0 * float(d0.sum()) / max(n, 1)
-    best = d.copy()
-    best_f = math.inf
-    for k in range(1, budget + 1):
-        lam, vec = _min_eig_estimate(np.diag(d) - w)
-        f = float(d.sum()) + rho * max(0.0, -lam)
-        if f < best_f:
-            best_f, best = f, d.copy()
-        g = np.ones(n)
-        if lam < 0:
-            g -= rho * vec * vec
-        d = np.maximum(d - (step0 / math.sqrt(k)) * g, 0.0)
-    lam, _ = _min_eig_estimate(np.diag(best) - w)
-    if lam < 0:
-        best = best + (-lam)  # make the incumbent feasible before certification
-    return best
-
-
 def _scale_to_boundary(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Shrink d along its ray onto the PSD boundary: d <- d * lambda_max(D^-1/2 W D^-1/2)."""
     support = d > 0
@@ -192,46 +164,30 @@ def _certify(m: SparseMat, d: np.ndarray, config: RefuteConfig) -> tuple[float, 
 
 
 def inf1_upper(m: SparseMat, config: RefuteConfig | None = None) -> tuple[float, DualCert]:
-    """Certified upper bound on the infinity-to-one norm with its dual certificate."""
+    """Certified upper bound on the infinity-to-one norm with its dual certificate.
+
+    The candidates are d0 (the l1 row and column sums), the barrier optimum
+    on d0's support and d0 itself, the last two scaled onto the PSD boundary;
+    the smallest certified bound wins.
+    """
     config = config or DEFAULT_CONFIG
     a, b = m.rows, m.cols
     if m.nnz == 0:
         return 0.0, DualCert(d_left=(0.0,) * a, d_right=(0.0,) * b, slack=0.0)
     d0 = np.concatenate([m.row_l1(), m.col_l1()])
-    nn = a + b
-    candidates = [d0]
-    if nn <= config.sdp_barrier_dim_cap:
-        dense = m.to_dense()
-        w = np.zeros((nn, nn))
-        w[:a, a:] = dense
-        w[a:, :a] = dense.T
-        support = d0 > 0
-        d_opt = d0.copy()
-        if support.any():
-            idx = np.flatnonzero(support)
-            sub = _barrier_solve(w[np.ix_(idx, idx)], d0[idx])
-            d_opt = np.zeros(nn)
-            d_opt[idx] = sub
-        candidates.append(_scale_to_boundary(w, d_opt))
-        candidates.append(_scale_to_boundary(w, d0))
-    else:
-        candidates.append(_subgradient_solve(
-            _dense_dilation(m), d0, config.sdp_budget, config.sdp_eta0))
+    w = np.zeros((a + b, a + b))  # the dense dilation [[0, M], [M^T, 0]]
+    w[:a, a:] = m.to_dense()
+    w[a:, :a] = w[:a, a:].T
+    idx = np.flatnonzero(d0 > 0)
+    d_opt = np.zeros(a + b)
+    if idx.size:
+        d_opt[idx] = _barrier_solve(w[np.ix_(idx, idx)], d0[idx])
     best: tuple[float, DualCert] | None = None
-    for d in candidates:
+    for d in (d0, _scale_to_boundary(w, d_opt), _scale_to_boundary(w, d0)):
         bound, cert = _certify(m, d, config)
         if best is None or bound < best[0]:
             best = (bound, cert)
     return best
-
-
-def _dense_dilation(m: SparseMat) -> np.ndarray:
-    dense = m.to_dense()
-    a, b = m.rows, m.cols
-    w = np.zeros((a + b, a + b))
-    w[:a, a:] = dense
-    w[a:, :a] = dense.T
-    return w
 
 
 def inf1_lower_round(m: SparseMat, trials: int = 32, seed: int = 0):

@@ -231,17 +231,19 @@ def phi_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
 
 
 def phi2_term(profile: DegreeProfile) -> float:
-    """Phi_2 = sum_i sqrt(t_i)."""
-    return float(sum(math.sqrt(t) for t in profile.t))
+    """Phi_2 = sum_i sqrt(t_i), correctly rounded so the verifier compares it exactly."""
+    return math.fsum(math.sqrt(t) for t in profile.t)
 
 
 def dup_correction(inst: PartitionedInstance, profile: DegreeProfile | None = None) -> float:
-    """c_0 = Q - Phi_2 with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i); zero when duplicate-free."""
+    """c_0 = Q - Phi_2 with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i); zero when duplicate-free.
+
+    Both sums are fsums, so the verifier compares c_0 exactly.
+    """
     profile = profile or degree_profile(inst)
-    q = 0.0
-    for t, table in zip(profile.t, _kept_mu(inst, profile)):
-        q += sum(w * w for w in table.values()) / math.sqrt(t)
-    return float(q - phi2_term(profile))
+    q = math.fsum(math.fsum(w * w for w in table.values()) / math.sqrt(t)
+                  for t, table in zip(profile.t, _kept_mu(inst, profile)))
+    return q - phi2_term(profile)
 
 
 def phi1_direct(inst: PartitionedInstance, x: np.ndarray) -> float:

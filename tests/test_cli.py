@@ -25,7 +25,7 @@ def test_generate_reduce_decompose_refute_verify_round_trip(workdir):
 
     assert run("generate", "--kind", "random", "--n", 10, "--m", 2000,
                "--seed", 7, "--k", 3, "-o", phi) == 0
-    assert run("reduce", "--in", phi, "--eps", 0.25, "-o", psi) == 0
+    assert run("reduce", "--in", phi, "-o", psi) == 0
     assert (workdir / "psi.json.dict.json").exists()
     assert load_instance(psi).ell == 10
 
@@ -76,6 +76,37 @@ def test_verify_fails_on_non_finite_certificate(workdir, capsys):
     out, err = capsys.readouterr()
     assert "non-finite number Infinity" in out
     assert "Traceback" not in out + err
+
+
+def test_verify_fails_on_non_object_certificate(workdir, capsys):
+    inst = workdir / "inst.json"
+    cert = workdir / "cert.json"
+    assert run("generate", "--kind", "p2xor", "--n", 6, "--m", 10,
+               "--seed", 0, "--ell", 1, "-o", inst) == 0
+    cert.write_text("[]")
+    capsys.readouterr()
+    assert run("verify", "--inst", inst, "--cert", cert) == 1
+    out, err = capsys.readouterr()
+    assert "malformed certificate" in out
+    assert "Traceback" not in out + err
+
+
+def test_removed_config_key_is_rejected(workdir, capsys):
+    inst = workdir / "inst.json"
+    cert = workdir / "cert.json"
+    config = workdir / "old.json"
+    assert run("generate", "--kind", "p2xor", "--n", 12, "--m", 200,
+               "--seed", 5, "--ell", 2, "-o", inst) == 0
+    config.write_text(json.dumps({"sdp_barrier_dim_cap": 400}))
+    assert run("refute", "--in", inst, "--eps", 0.3, "--config", config) == 2
+    # a certificate whose embedded config carries a removed key fails to verify
+    assert run("refute", "--in", inst, "--eps", 0.3, "-o", cert) in (0, 10)
+    data = json.loads(cert.read_text())
+    data["config"]["sdp_barrier_dim_cap"] = 400
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "--inst", inst, "--cert", cert) == 1
+    assert "unknown config keys" in capsys.readouterr().out
 
 
 def test_input_error_exit_codes(workdir):

@@ -22,6 +22,7 @@ from xorcert import (
     verify_certificate,
     verify_certificate_detailed,
 )
+from xorcert.spectral import assemble_phi_bound, block_contribution
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +259,53 @@ def test_certificate_load_rejects_non_finite(tmp_path, dense_kxor, literal):
     path.write_text(text.replace(f'"slack": {slack}', f'"slack": {literal}'))
     with pytest.raises(ValueError, match=literal):
         Certificate.load(path)
+
+
+def _reassemble_light(payload: dict) -> None:
+    """Recompute every field downstream of the light blocks and constants."""
+    light = payload["light"]
+    report = light["report"]
+    for block in report["blocks"]:
+        block["contribution"] = block_contribution(block["size_j"], block["size_k"],
+                                                   block["norm_upper"])
+    report.update(assemble_phi_bound([b["contribution"] for b in report["blocks"]],
+                                     report["dup_correction"], report["phi2_term"],
+                                     report["eps"], report["m"], report["ell_eff"]))
+    light["side_bound"] = min(float(light["m"]), report["val_upper"] * light["m"])
+    dec = payload["decomposition"]
+    combined = (light["side_bound"] + payload["heavy"]["side_bound"]) / (
+        dec["m_light"] + dec["m_heavy"])
+    payload["certified_val_upper"] = min(1.0, combined)
+    payload["outcome"] = REFUTED if combined <= 0.5 + payload["eps"] else UNKNOWN
+
+
+def test_verify_rejects_norm_upper_forged_down_to_lower(dense_kxor):
+    # a claimed norm upper below the verifier's certified upper is unproven,
+    # even when it stays above the fresh lower bound
+    inst, cert = dense_kxor
+    payload = copy.deepcopy(cert.payload)
+    for block in payload["light"]["report"]["blocks"]:
+        block["norm_upper"] = block["norm_lower"]
+    _reassemble_light(payload)
+    assert payload["certified_val_upper"] < cert.certified_val_upper
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    assert not ok and "certified upper bound" in errors[0]
+
+
+@pytest.mark.parametrize("field", ["phi2_term", "dup_correction"])
+def test_verify_rejects_shaved_phi_constant(dense_kxor, field):
+    inst, cert = dense_kxor
+    payload = copy.deepcopy(cert.payload)
+    report = payload["light"]["report"]
+    report[field] -= 5e-8 * abs(report[field])
+    _reassemble_light(payload)
+    assert payload["certified_val_upper"] < cert.certified_val_upper
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    assert not ok and errors == ["phi constant terms do not re-derive"]
+
+
+@pytest.mark.parametrize("payload", [[], None, "cert_v1"])
+def test_verify_rejects_non_object_payload(dense_kxor, payload):
+    inst, _ = dense_kxor
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    assert not ok and errors[0].startswith("malformed certificate")

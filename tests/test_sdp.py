@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xorcert import (
-    DEFAULT_CONFIG,
     DualCert,
     KG_UPPER,
     PartitionedInstance,
@@ -98,13 +97,11 @@ def test_inf1_upper_near_optimal_on_sign_matrices():
     assert sorted(ratios)[len(ratios) // 2] <= 1.8
 
 
-def test_subgradient_path_certifies():
-    # force the non-barrier route with a tiny dimension cap
-    config = DEFAULT_CONFIG.with_overrides(sdp_barrier_dim_cap=2)
+def test_inf1_upper_non_square_certifies():
     gen = np.random.default_rng(0)
     a = gen.integers(-1, 2, size=(5, 6)).astype(float)
     m = SparseMat.from_dense(a)
-    bound, cert = inf1_upper(m, config)
+    bound, cert = inf1_upper(m)
     truth = brute_force_inf1(m)
     assert truth - 1e-9 <= bound
     d = np.array(cert.d_left + cert.d_right)
