@@ -18,38 +18,34 @@ from .pipeline import (REFUTED, SCHEMA, UNKNOWN, Certificate, refute_kxor,
                        verify_certificate_detailed)
 from .reduce import (BipartiteInstance, Decomposition, ReducedKXor,
                      SubsetDictionary, bipartite_matrix, decompose,
-                     heavy_sub_instance, heavy_value_dominates,
-                     kxor_to_partitioned)
+                     heavy_sub_instance, kxor_to_partitioned)
 from .sdp import (KG_UPPER, DualCert, TwoXorReport, inf1_lower_round, inf1_upper,
                   refute_2xor, two_xor_matrix, z_matrix)
 from .spectral import (Block, BlockRecord, ButterflyTable, DBoundedReport,
                        WeightClassPartition, block_r_bound, block_variance_bound,
-                       build_block, build_blocks, build_part_block, butterfly,
-                       certify_dbounded, dup_correction, empirical_variance_norm,
-                       part_biases, phi1_direct, phi1_from_blocks, phi2_term,
-                       phi_direct, weight_classes)
+                       build_blocks, butterfly, certify_dbounded, dup_correction,
+                       phi2_term, weight_classes)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "BipartiteInstance", "Block", "BlockRecord", "ButterflyTable",
-    "Certificate", "DBoundedReport", "DEFAULT_CONFIG", "Decomposition",
-    "DegreeProfile", "DualCert", "FAMILIES", "GenSpec", "KG_UPPER",
-    "KXorInstance", "NormBound", "PartitionedInstance", "REFUTED",
-    "ReducedKXor", "RefuteConfig", "SCHEMA", "SparseMat", "SubsetDictionary",
-    "TwoXorReport", "UNKNOWN", "WeightClassPartition", "bernstein_tail",
-    "bernstein_threshold", "bias", "bipartite_matrix", "block_r_bound",
-    "block_variance_bound", "brute_force_inf1", "brute_force_val",
-    "build_block", "build_blocks", "build_part_block", "butterfly",
-    "canonical_json", "certify_dbounded", "decompose", "degree_profile",
-    "dup_correction", "empirical_variance_norm", "eval_kxor",
-    "eval_partitioned", "from_json_dict", "gen_adversarial_hypergraph",
-    "gen_kxor", "gen_random_kxor", "gen_random_partitioned",
-    "heavy_sub_instance", "heavy_value_dominates", "inf1_lower_round",
-    "inf1_upper", "instance_digest", "kxor_to_partitioned", "l1_norm_bound",
-    "load_instance", "min_eig_check", "min_eig_lower_bound", "part_biases",
-    "phi1_direct", "phi1_from_blocks", "phi2_term", "phi_direct",
-    "refute_2xor", "refute_kxor", "refute_partitioned", "save_instance",
-    "spectral_norm", "to_json_dict", "two_xor_matrix", "verify_certificate",
+    "Assignment", "BipartiteInstance", "Block", "BlockRecord",
+    "ButterflyTable", "Certificate", "DBoundedReport", "DEFAULT_CONFIG",
+    "Decomposition", "DegreeProfile", "DualCert", "FAMILIES", "GenSpec",
+    "KG_UPPER", "KXorInstance", "NormBound", "PartitionedInstance",
+    "REFUTED", "ReducedKXor", "RefuteConfig", "SCHEMA", "SparseMat",
+    "SubsetDictionary", "TwoXorReport", "UNKNOWN", "WeightClassPartition",
+    "bernstein_tail", "bernstein_threshold", "bias", "bipartite_matrix",
+    "block_r_bound", "block_variance_bound", "brute_force_inf1",
+    "brute_force_val", "build_blocks", "butterfly", "canonical_json",
+    "certify_dbounded", "decompose", "degree_profile", "dup_correction",
+    "eval_kxor", "eval_partitioned", "from_json_dict",
+    "gen_adversarial_hypergraph", "gen_kxor", "gen_random_kxor",
+    "gen_random_partitioned", "heavy_sub_instance", "inf1_lower_round",
+    "inf1_upper", "instance_digest", "kxor_to_partitioned",
+    "l1_norm_bound", "load_instance", "min_eig_check",
+    "min_eig_lower_bound", "phi2_term", "refute_2xor", "refute_kxor",
+    "refute_partitioned", "save_instance", "spectral_norm",
+    "to_json_dict", "two_xor_matrix", "verify_certificate",
     "verify_certificate_detailed", "weight_classes", "z_matrix",
 ]

@@ -5,7 +5,17 @@ re-derive the decomposition and the per-block parameters deterministically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+import math
+import numbers
+from dataclasses import dataclass, asdict
+
+
+def _finite_real(value) -> bool:
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -22,6 +32,23 @@ class RefuteConfig:
     # PSD feasibility slack, relative to the matrix scale
     psd_slack_rel: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for name in ("c_split", "alpha_c", "block_delta", "norm_tol", "psd_slack_rel"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise TypeError(f"config {name} must be a finite real number, got {value!r}")
+        max_iter = self.norm_max_iter
+        if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
+            raise TypeError(f"config norm_max_iter must be an int, got {max_iter!r}")
+        if max_iter < 1:
+            raise ValueError(f"config norm_max_iter must be at least 1, got {max_iter}")
+        if not (self.c_split > 0 and self.alpha_c > 0 and self.norm_tol > 0):
+            raise ValueError("config c_split, alpha_c and norm_tol must be positive")
+        if not 0 < self.block_delta < 1:
+            raise ValueError(f"config block_delta must lie in (0, 1), got {self.block_delta}")
+        if self.psd_slack_rel < 0:
+            raise ValueError(f"config psd_slack_rel must be >= 0, got {self.psd_slack_rel}")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -32,9 +59,6 @@ class RefuteConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    def with_overrides(self, **kwargs) -> "RefuteConfig":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = RefuteConfig()

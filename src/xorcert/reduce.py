@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .instances import KXorInstance, PartitionedInstance
 from .linalg import SparseMat
-from .oracle import brute_force_inf1, brute_force_val
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,11 @@ def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> De
         raise ValueError("eps must be positive")
     if c_split <= 0:
         raise ValueError("c_split must be positive")
-    d_cap = math.ceil(c_split / (eps * eps))
+    cap = c_split / (eps * eps) if eps * eps > 0 else math.inf
+    if not math.isfinite(cap):
+        raise ValueError(f"degree cap c_split / eps^2 is not finite "
+                         f"(c_split={c_split}, eps={eps})")
+    d_cap = math.ceil(cap)
     live = [(p, u, v, s, j) for j, (p, u, v, s) in enumerate(inst.constraints)]
     provenance: list[tuple] = [("light",)] * inst.m
     left_labels: list[tuple[int, int]] = []
@@ -219,22 +221,3 @@ def bipartite_matrix(bip: BipartiteInstance) -> SparseMat:
         len(bip.left_labels), bip.n_right,
         ((left, right, float(s)) for left, right, s in bip.constraints),
     )
-
-
-def heavy_value_dominates(dec: Decomposition, cap: int = 24) -> bool:
-    """Test-only: brute-check that the bipartite relaxation's optimum dominates.
-
-    The relaxation frees each (part, vertex) group into its own left variable,
-    so its optimum can only rise relative to the heavy partitioned constraints.
-    """
-    if dec.heavy.m == 0:
-        return True
-    sub = heavy_sub_instance(dec)
-    val_heavy, _ = brute_force_val(sub, cap=cap)
-    mat = bipartite_matrix(dec.heavy)
-    if mat.rows > mat.cols:
-        mat = mat.transpose()
-    pmn = brute_force_inf1(mat)
-    m2 = dec.heavy.m
-    val_bip = Fraction(m2 + round(pmn), 2 * m2)  # integer matrix, so pmn is integral
-    return val_bip >= val_heavy

@@ -89,7 +89,10 @@ def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: in
         raise ValueError("eps must lie in (0, 1/2)")
     lg = math.log2(n)
     levels = math.ceil(lg)
-    alpha = alpha_c * d * d * ell * lg ** 6 / (eps ** 4 * m)
+    scale = eps ** 4 * m
+    alpha = alpha_c * d * d * ell * lg ** 6 / scale if scale > 0 else math.inf
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"weight-class alpha {alpha} is not a positive finite number")
     ratio = 4.0 * m / alpha
     clamped = ratio < 1.0  # then every gamma <= 4m <= alpha lands in S_0
     beta = 1.0 if clamped else max(ratio ** (1.0 / lg), 1.0)
@@ -183,52 +186,9 @@ def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
     return _accumulate_blocks(profile, _kept_mu(inst, profile), partition)
 
 
-def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
-                j: int, k: int) -> SparseMat:
-    """The (j, k) block alone (empty matrix when it has no entries)."""
-    blocks = build_blocks(inst, partition)
-    if (j, k) in blocks:
-        return blocks[(j, k)].mat
-    return SparseMat.from_arrays(0, 0, [], [], [])
-
-
-def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
-                     slot: int, j: int, k: int) -> SparseMat:
-    """Single-part contribution B_{i,j,k} (for bound cross-checks)."""
-    profile = degree_profile(inst)
-    sub = DegreeProfile(
-        n=profile.n, part_ids=(profile.part_ids[slot],), t=(profile.t[slot],),
-        deg=(profile.deg[slot],), dup=(profile.dup[slot],),
-    )
-    mu = [_kept_mu(inst, profile)[slot]]
-    blocks = _accumulate_blocks(sub, mu, partition)
-    if (j, k) in blocks:
-        return blocks[(j, k)].mat
-    return SparseMat.from_arrays(0, 0, [], [], [])
-
-
 # ---------------------------------------------------------------------------
-# Potential function evaluations (used by tests and the certificate assembly).
+# The potential's constant terms.
 # ---------------------------------------------------------------------------
-
-def part_biases(inst: PartitionedInstance, x: np.ndarray) -> list[float]:
-    """b_i(x) = sum_e mu_i(e) x^e for each nonempty part."""
-    profile = degree_profile(inst)
-    out = []
-    for table in _kept_mu(inst, profile):
-        out.append(float(sum(w * x[u] * x[v] for (u, v), w in table.items())))
-    return out
-
-
-def phi_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
-    """Phi(x) = sum_i b_i(x)^2 / sqrt(t_i), evaluated directly."""
-    profile = degree_profile(inst)
-    out = 0.0
-    for t, table in zip(profile.t, _kept_mu(inst, profile)):
-        b = sum(w * x[u] * x[v] for (u, v), w in table.items())
-        out += b * b / math.sqrt(t)
-    return float(out)
-
 
 def phi2_term(profile: DegreeProfile) -> float:
     """Phi_2 = sum_i sqrt(t_i), correctly rounded so the verifier compares it exactly."""
@@ -246,25 +206,8 @@ def dup_correction(inst: PartitionedInstance, profile: DegreeProfile | None = No
     return q - phi2_term(profile)
 
 
-def phi1_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
-    """Phi_1(x) = sum_i (b_i(x)^2 - t_i) / sqrt(t_i)."""
-    profile = degree_profile(inst)
-    return phi_direct(inst, x) - phi2_term(profile)
-
-
-def phi1_from_blocks(blocks: dict[tuple[int, int], Block], x: np.ndarray,
-                     c0: float, n: int) -> float:
-    """Evaluate Phi_1 through the block quadratic form; exact identity check."""
-    form = 0.0
-    for block in blocks.values():
-        zr = x[block.row_pairs // n] * x[block.row_pairs % n]
-        zc = x[block.col_pairs // n] * x[block.col_pairs % n]
-        form += float(zr @ block.mat.matvec(zc))
-    return form / 4.0 + c0
-
-
 # ---------------------------------------------------------------------------
-# Analytic per-block bounds and their exact small-scale counterparts.
+# Analytic per-block bounds.
 # ---------------------------------------------------------------------------
 
 def block_variance_bound(partition: WeightClassPartition, j: int, k: int) -> float:
@@ -275,60 +218,6 @@ def block_variance_bound(partition: WeightClassPartition, j: int, k: int) -> flo
 def block_r_bound(partition: WeightClassPartition, j: int, k: int, d: int) -> float:
     """Analytic bound d sqrt(alpha beta^{max(j,k)}) on each summand's norm."""
     return d * math.sqrt(partition.alpha * partition.beta ** max(j, k))
-
-
-def _fourth_moment(groups: dict[tuple[int, int], int], dup: dict) -> float:
-    # E[prod mu(e_i)] over independent signed multiplicities: odd powers vanish,
-    # E[mu^2] = D, E[mu^4] = 3D^2 - 2D
-    out = 1.0
-    for pair, count in groups.items():
-        d_val = dup.get(pair, 0)
-        if count % 2 == 1:
-            return 0.0
-        if count == 2:
-            out *= d_val
-        elif count == 4:
-            out *= 3.0 * d_val * d_val - 2.0 * d_val
-        else:
-            raise AssertionError("pair group count must be in {1, 2, 3, 4}")
-    return out
-
-
-def empirical_variance_norm(inst: PartitionedInstance, partition: WeightClassPartition,
-                            j: int, k: int) -> float:
-    """Exact ||sum_i E[B_i B_i^T]|| over random signs, from pair multiplicities.
-
-    Small instances only: enumerates the class pairs directly.
-    """
-    n = inst.n
-    if n > 16:
-        raise ValueError("empirical variance check is for small instances")
-    pairs_j = [(v, vp) for v in range(n) for vp in range(n)
-               if partition.class_of((v, vp)) == j]
-    pairs_k = [(w, wp) for w in range(n) for wp in range(n)
-               if partition.class_of((w, wp)) == k]
-    if not pairs_j or not pairs_k:
-        return 0.0
-    profile = degree_profile(inst)
-    idx = {p: i for i, p in enumerate(pairs_j)}
-    x = np.zeros((len(pairs_j), len(pairs_j)))
-    for t, dup in zip(profile.t, profile.dup):
-        for p_row in pairs_j:
-            for p_col in pairs_j:
-                total = 0.0
-                for q in pairs_k:
-                    e1 = tuple(sorted((p_row[0], q[0])))
-                    e2 = tuple(sorted((p_row[1], q[1])))
-                    e3 = tuple(sorted((p_col[0], q[0])))
-                    e4 = tuple(sorted((p_col[1], q[1])))
-                    if e1 == e2 or e3 == e4:  # excluded from the block matrix
-                        continue
-                    groups: dict[tuple[int, int], int] = {}
-                    for e in (e1, e2, e3, e4):
-                        groups[e] = groups.get(e, 0) + 1
-                    total += _fourth_moment(groups, dup)
-                x[idx[p_row], idx[p_col]] += total / t
-    return float(np.abs(np.linalg.eigvalsh(x)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import dupfree_partitioned
+from helpers import phi1_from_blocks, phi_direct
 from xorcert import (
     Certificate,
     GenSpec,
@@ -38,9 +39,7 @@ from xorcert import (
     inf1_upper,
     kxor_to_partitioned,
     l1_norm_bound,
-    phi1_from_blocks,
     phi2_term,
-    phi_direct,
     refute_kxor,
     refute_partitioned,
     spectral_norm,

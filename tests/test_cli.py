@@ -179,3 +179,31 @@ def test_experiment_validation(workdir):
                "--eps", 0.3) == 2  # --k missing
     assert run("experiment", "--families", "bogus", "--n", 8, "--m", 10,
                "--eps", 0.3, "--k", 3) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"norm_max_iter": "1500"},
+    {"norm_max_iter": True},
+    {"c_split": "4"},
+    {"c_split": 1e308},
+])
+def test_refute_rejects_bad_config_value(workdir, capsys, config):
+    inst = workdir / "inst.json"
+    path = workdir / "config.json"
+    assert run("generate", "--kind", "p2xor", "--n", 8, "--m", 60,
+               "--seed", 0, "--ell", 1, "-o", inst) == 0
+    path.write_text(json.dumps(config))
+    assert run("refute", "--in", inst, "--eps", 0.3, "--config", path) == 2
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("eps", [
+    1e-300,  # eps * eps underflows, so the degree cap c_split / eps^2 is not finite
+    1e-100,  # eps ** 4 underflows, so the weight-class alpha is not finite
+])
+def test_refute_rejects_tiny_eps(workdir, capsys, eps):
+    inst = workdir / "inst.json"
+    assert run("generate", "--kind", "random", "--n", 8, "--m", 60, "--k", 3,
+               "--seed", 0, "-o", inst) == 0
+    assert run("refute", "--in", inst, "--eps", eps) == 2
+    assert "Traceback" not in "".join(capsys.readouterr())

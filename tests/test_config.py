@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from xorcert import DEFAULT_CONFIG, RefuteConfig
@@ -20,3 +22,20 @@ def test_from_json_dict_rejects_removed_key(key):
     data = {**DEFAULT_CONFIG.to_json_dict(), key: 1}
     with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         RefuteConfig.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("norm_max_iter", "1500"), ("norm_max_iter", True), ("norm_max_iter", 1500.0),
+    ("norm_max_iter", 0), ("c_split", "4"), ("c_split", True), ("c_split", None),
+    ("c_split", math.nan), ("c_split", math.inf), ("c_split", 0.0), ("c_split", -4.0),
+    ("c_split", 10 ** 400), ("alpha_c", 0.0), ("norm_tol", -1e-8), ("block_delta", 1.0),
+    ("block_delta", 0.0), ("psd_slack_rel", -1e-9), ("psd_slack_rel", -math.inf),
+])
+def test_config_rejects_bad_value(field, value):
+    with pytest.raises((TypeError, ValueError), match=field):
+        RefuteConfig.from_json_dict({field: value})
+
+
+def test_config_accepts_boundary_values():
+    config = RefuteConfig(c_split=4, norm_max_iter=1, psd_slack_rel=0.0)
+    assert RefuteConfig.from_json_dict(config.to_json_dict()) == config

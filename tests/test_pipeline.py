@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xorcert.pipeline
+import xorcert.sdp
 from xorcert import (
     Certificate,
     GenSpec,
@@ -289,7 +293,7 @@ def test_verify_rejects_norm_upper_forged_down_to_lower(dense_kxor):
     _reassemble_light(payload)
     assert payload["certified_val_upper"] < cert.certified_val_upper
     ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
-    assert not ok and "certified upper bound" in errors[0]
+    assert not ok and errors[0] == "light.report.blocks[0].norm_upper does not re-derive"
 
 
 @pytest.mark.parametrize("field", ["phi2_term", "dup_correction"])
@@ -301,7 +305,7 @@ def test_verify_rejects_shaved_phi_constant(dense_kxor, field):
     _reassemble_light(payload)
     assert payload["certified_val_upper"] < cert.certified_val_upper
     ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
-    assert not ok and errors == ["phi constant terms do not re-derive"]
+    assert not ok and errors[0] == f"light.report.{field} does not re-derive"
 
 
 @pytest.mark.parametrize("payload", [[], None, "cert_v1"])
@@ -309,3 +313,111 @@ def test_verify_rejects_non_object_payload(dense_kxor, payload):
     inst, _ = dense_kxor
     ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
     assert not ok and errors[0].startswith("malformed certificate")
+
+
+def test_verify_never_solves_the_sdp(dense_kxor, monkeypatch):
+    inst, cert = dense_kxor
+    assert cert.payload["heavy"]["mode"] == "sdp"
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the verifier solved the SDP")
+
+    monkeypatch.setattr(xorcert.sdp, "inf1_upper", solve)
+    monkeypatch.setattr(xorcert.pipeline, "inf1_upper", solve)
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+@pytest.mark.parametrize("path", [
+    ("decomposition", "m_light"),
+    ("light", "report", "beta_clamped"),
+    ("light", "report", "blocks", 0, "nnz"),
+])
+def test_verify_compares_leaf_types(dense_kxor, path):
+    # 1 == 1.0 == True in Python, so equal values of another type must not pass
+    inst, cert = dense_kxor
+    node = cert.payload
+    for key in path:
+        node = node[key]
+    retyped = float(node) if type(node) is int else int(node)
+    assert retyped == node
+    ok, errors = verify_certificate_detailed(_mutate(cert, path, retyped), inst)
+    dotted = ".".join(str(k) for k in path).replace(".0.", "[0].")
+    assert not ok and errors == [f"{dotted} does not re-derive"]
+
+
+def test_verify_rejects_extra_key(dense_kxor):
+    inst, cert = dense_kxor
+    payload = copy.deepcopy(cert.payload)
+    payload["light"]["report"]["note"] = "trust me"
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    assert not ok and errors[0].startswith("malformed certificate: light.report keys differ")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("config", "c_split"), 1e308),  # c_split / eps^2 overflows
+    (("eps",), 1e-300),  # eps * eps underflows
+    (("eps",), 1e-100),  # eps ** 4 underflows in the weight-class alpha
+])
+def test_verify_rejects_unusable_eps_or_config(dense_kxor, path, value):
+    inst, cert = dense_kxor
+    ok, errors = verify_certificate_detailed(_mutate(cert, path, value), inst)
+    assert not ok and errors[0].startswith("malformed certificate")
+
+
+def _paths(node, path=()):
+    """(leaf paths, dict paths) of a payload; only the ends of a list of numbers."""
+    if isinstance(node, dict):
+        leaves, dicts = [], [path]
+        for key, value in node.items():
+            sub_leaves, sub_dicts = _paths(value, path + (key,))
+            leaves += sub_leaves
+            dicts += sub_dicts
+        return leaves, dicts
+    if isinstance(node, list):
+        if node and not isinstance(node[0], (dict, list)):
+            return [path + (0,), path + (len(node) - 1,)], []
+        leaves, dicts = [], []
+        for i, value in enumerate(node):
+            sub_leaves, sub_dicts = _paths(value, path + (i,))
+            leaves += sub_leaves
+            dicts += sub_dicts
+        return leaves, dicts
+    return [path], []
+
+
+_ODD_VALUES = [math.nan, math.inf, -math.inf, None, "1", True, [], {}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_payload_fuzz(dense_kxor, data):
+    # one leaf replaced by an odd value or moved one step, or one key removed
+    # or added: the verifier never raises, rejects every change of key set,
+    # and whatever it accepts still certifies the original bound and outcome
+    inst, cert = dense_kxor
+    payload = copy.deepcopy(cert.payload)
+    leaves, dicts = _paths(payload)
+    action = data.draw(st.sampled_from(["leaf", "delete", "add"]))
+    path = data.draw(st.sampled_from(leaves if action != "add" else dicts))
+    parent = payload
+    for key in path[:-1] if action != "add" else path:
+        parent = parent[key]
+    if action == "leaf":
+        old = parent[path[-1]]
+        steps = []
+        if type(old) is float:
+            steps = [math.nextafter(old, 0.0), math.nextafter(old, math.inf)]
+        elif type(old) is int:
+            steps = [old - 1, old + 1]
+        parent[path[-1]] = data.draw(st.sampled_from(_ODD_VALUES + steps))
+    elif action == "delete":
+        del parent[path[-1]]
+    else:
+        parent["extra"] = 0
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    if ok:
+        assert action == "leaf" and errors == []  # a key set must match exactly
+        assert payload["certified_val_upper"] == cert.certified_val_upper
+        assert payload["outcome"] == cert.outcome
+    else:
+        assert errors and all(isinstance(e, str) for e in errors)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import heavy_value_dominates
 from xorcert import (
     GenSpec,
     KXorInstance,
@@ -14,7 +15,6 @@ from xorcert import (
     gen_kxor,
     gen_random_partitioned,
     heavy_sub_instance,
-    heavy_value_dominates,
     kxor_to_partitioned,
 )
 

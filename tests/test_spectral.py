@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import dupfree_partitioned
+from helpers import (build_block, build_part_block, empirical_variance_norm, phi1_direct,
+                     phi1_from_blocks, phi_direct)
 from xorcert import (
     ButterflyTable,
     PartitionedInstance,
@@ -13,19 +15,13 @@ from xorcert import (
     block_r_bound,
     block_variance_bound,
     brute_force_val,
-    build_block,
     build_blocks,
-    build_part_block,
     butterfly,
     certify_dbounded,
     degree_profile,
     dup_correction,
-    empirical_variance_norm,
     gen_random_partitioned,
-    phi1_direct,
-    phi1_from_blocks,
     phi2_term,
-    phi_direct,
     spectral_norm,
     weight_classes,
 )
