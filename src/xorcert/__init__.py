@@ -10,15 +10,14 @@ from .instances import (Assignment, DegreeProfile, KXorInstance,
                         instance_digest, load_instance, save_instance,
                         to_json_dict)
 from .linalg import (NormBound, SparseMat, bernstein_tail, bernstein_threshold,
-                     l1_norm_bound, min_eig_check, min_eig_lower_bound,
-                     spectral_norm)
+                     l1_norm_bound, min_eig_check, spectral_norm)
 from .oracle import brute_force_inf1, brute_force_val
 from .pipeline import (REFUTED, SCHEMA, UNKNOWN, Certificate, refute_kxor,
                        refute_partitioned, verify_certificate,
                        verify_certificate_detailed)
 from .reduce import (BipartiteInstance, Decomposition, ReducedKXor,
                      SubsetDictionary, bipartite_matrix, decompose,
-                     heavy_sub_instance, kxor_to_partitioned)
+                     kxor_to_partitioned)
 from .sdp import (KG_UPPER, DualCert, TwoXorReport, inf1_lower_round, inf1_upper,
                   refute_2xor, two_xor_matrix, z_matrix)
 from .spectral import (Block, BlockRecord, ButterflyTable, DBoundedReport,
@@ -41,10 +40,9 @@ __all__ = [
     "certify_dbounded", "decompose", "degree_profile", "dup_correction",
     "eval_kxor", "eval_partitioned", "from_json_dict",
     "gen_adversarial_hypergraph", "gen_kxor", "gen_random_kxor",
-    "gen_random_partitioned", "heavy_sub_instance", "inf1_lower_round",
-    "inf1_upper", "instance_digest", "kxor_to_partitioned",
-    "l1_norm_bound", "load_instance", "min_eig_check",
-    "min_eig_lower_bound", "phi2_term", "refute_2xor", "refute_kxor",
+    "gen_random_partitioned", "inf1_lower_round", "inf1_upper",
+    "instance_digest", "kxor_to_partitioned", "l1_norm_bound",
+    "load_instance", "min_eig_check", "phi2_term", "refute_2xor", "refute_kxor",
     "refute_partitioned", "save_instance", "spectral_norm",
     "to_json_dict", "two_xor_matrix", "verify_certificate",
     "verify_certificate_detailed", "weight_classes", "z_matrix",

@@ -29,11 +29,9 @@ class RefuteConfig:
     # certified spectral-norm power iteration
     norm_tol: float = 1e-8
     norm_max_iter: int = 1500
-    # PSD feasibility slack, relative to the matrix scale
-    psd_slack_rel: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("c_split", "alpha_c", "block_delta", "norm_tol", "psd_slack_rel"):
+        for name in ("c_split", "alpha_c", "block_delta", "norm_tol"):
             value = getattr(self, name)
             if not _finite_real(value):
                 raise TypeError(f"config {name} must be a finite real number, got {value!r}")
@@ -46,8 +44,6 @@ class RefuteConfig:
             raise ValueError("config c_split, alpha_c and norm_tol must be positive")
         if not 0 < self.block_delta < 1:
             raise ValueError(f"config block_delta must lie in (0, 1), got {self.block_delta}")
-        if self.psd_slack_rel < 0:
-            raise ValueError(f"config psd_slack_rel must be >= 0, got {self.psd_slack_rel}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -3,7 +3,8 @@
 Every upper bound produced here is sound by construction: either a row/column
 l1 bound (Gershgorin applied to the symmetric dilation) or a Rayleigh quotient
 plus its full residual norm.  Heuristics only ever tighten, never replace,
-those certified quantities.
+those certified quantities.  PSD-ness is decided by one floating-point
+Cholesky with an a-priori rounding shift (``min_eig_check``).
 """
 from __future__ import annotations
 
@@ -234,37 +235,60 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     return NormBound(lower, upper, method)
 
 
-def min_eig_lower_bound(s: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
-                        restart_seed: int = 0x5EED) -> float:
-    """Certified lower bound on lambda_min of a symmetric matrix.
+# unit roundoff and the smallest subnormal of IEEE double precision
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
 
-    Shifts by c = l1_norm_bound(s) so that lambda_max(cI - S) = c - lambda_min,
-    then applies the certified spectral norm bound to the shifted matrix.
+
+def psd_shift(diag: np.ndarray) -> float:
+    """Rump's a-priori shift c for the n x n symmetric matrix with this diagonal (>= 0).
+
+    c = gamma/(1 - 2 gamma) * tr + 3u * max + 4(n+1)^2 (1 + max) eta, with
+    u = 2^-53, gamma = (n+1)u / (1 - (n+1)u), eta = 2^-1074, raised by 16u
+    relative to cover its own evaluation; ``min_eig_check`` gives the argument.
     """
-    if s.rows != s.cols:
-        raise ValueError("matrix must be square")
-    if not s.is_symmetric(tol=0.0):
-        raise ValueError("matrix must be symmetric")
-    if s.rows == 0:
-        return 0.0
-    c = l1_norm_bound(s)
-    n = s.rows
-    shifted = SparseMat.from_arrays(
-        n, n,
-        np.concatenate([s.r, np.arange(n)]),
-        np.concatenate([s.c, np.arange(n)]),
-        np.concatenate([-s.v, np.full(n, c)]),
-    )
-    nb = spectral_norm(shifted, tol=tol, max_iter=max_iter, restart_seed=restart_seed)
-    return c - nb.upper
+    n = len(diag)
+    gamma = (n + 1) * _U / (1.0 - (n + 1) * _U)
+    top = float(np.max(diag, initial=0.0))
+    c = (gamma / (1.0 - 2.0 * gamma) * math.fsum(diag) + 3.0 * _U * top
+         + 4.0 * (n + 1) ** 2 * (1.0 + top) * _ETA)
+    return c * (1.0 + 16.0 * _U)
 
 
-def min_eig_check(s: SparseMat, slack: float, tol: float = 1e-8,
-                  max_iter: int = 1500) -> bool:
-    """True iff lambda_min(S) >= -slack is certified."""
+def min_eig_check(s: SparseMat, slack: float) -> bool:
+    """True only if lambda_min(S) >= -slack: one Cholesky of B = S + slack*I - c*I.
+
+    With t = fl(diag(S) + slack) >= 0 and c = psd_shift(t), the check passes
+    when LAPACK's Cholesky of B runs to completion (Rump, "Verification of
+    positive definiteness", BIT 46 (2006); Higham, *Accuracy and Stability*,
+    10.1).  Demmel: then B + dB = R^T R with |dB| <= gamma_{n+1} |R^T||R| for
+    any order of the inner products, so ||dB||_2 <= gamma ||R||_F^2 =
+    gamma tr(B + dB), i.e. ||dB||_2 <= gamma/(1 - gamma) tr(B), and
+    tr(B) <= sum t since every pivot was positive.  Forming b_ii = fl(t_i - c)
+    rounds twice, an error of at most 2u t_i + u c.  So lambda_min(S + slack*I)
+    >= c(1 - u) - 2u max t - gamma/(1 - gamma) sum t >= 0, as
+    (1 - u)/(1 - 2 gamma) >= 1/(1 - gamma).  Gradual underflow adds at most
+    eta/2 per product or quotient, n(n+1)(1 + max t) eta in norm, which the
+    last term of c covers.  A negative t_i fails at once: e_i is a witness.
+    """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    return min_eig_lower_bound(s, tol=tol, max_iter=max_iter) >= -slack
+    if s.rows != s.cols:
+        raise ValueError("matrix must be square")
+    if not s.is_symmetric():
+        raise ValueError("matrix must be symmetric")
+    a = s.to_dense()
+    i = np.arange(s.rows)
+    t = a[i, i] + slack
+    if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
+        return False
+    c = psd_shift(t)
+    a[i, i] = t - c
+    try:
+        # OpenBLAS lets a NaN pivot through, and a NaN or inf reaches the pivots
+        return bool(np.all(np.isfinite(np.linalg.cholesky(a))))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def bernstein_tail(sigma2: float, r_bound: float, d1: int, d2: int, t: float) -> float:

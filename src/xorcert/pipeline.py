@@ -10,7 +10,8 @@ function of the instance, ``eps`` and the config, and one function,
 ``refute_partitioned`` call it with a dual solved by ``inf1_upper``.
 ``verify_certificate_detailed`` calls it with the recorded dual, which must
 match the heavy matrix's shape, have no negative entry, and make
-Z(d) + slack*I pass ``min_eig_check``; the SDP is never re-solved.  The
+Z(d) + slack*I pass ``min_eig_check``, the Cholesky check that
+``inf1_upper`` ran on it; the SDP is never re-solved.  The
 verifier then compares the rebuilt payload with the recorded one exactly:
 the same keys, the same list lengths, and leaves of the same type and value.
 Floats round-trip exactly through JSON, so an honest certificate matches bit
@@ -109,8 +110,8 @@ def _heavy_report(mat: SparseMat, dual: DualCert, eps_half: float, m2: int) -> d
             "bound": bound, "val_upper": val_upper, "dual": dual.to_json_dict()}
 
 
-def _build_payload(inst, eps: float, config: RefuteConfig, heavy_dual) -> dict:
-    """The certificate payload for inst; heavy_dual(matrix) supplies the heavy side's dual.
+def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_dual) -> dict:
+    """The payload for inst (digest: its instance_digest); heavy_dual(matrix) gives the dual.
 
     A k-XOR instance is reduced to partitioned 2-XOR first.  Both sides are
     certified at eps/2; a side smaller than eps*m/2 is bounded trivially by
@@ -154,7 +155,7 @@ def _build_payload(inst, eps: float, config: RefuteConfig, heavy_dual) -> dict:
         "tool": "xorcert",
         "version": TOOL_VERSION,
         "kind": "p2xor" if red is None else "kxor",
-        "instance_digest": instance_digest(inst),
+        "instance_digest": digest,
         "eps": eps,
         "config": config.to_json_dict(),
         "outcome": REFUTED if combined <= 0.5 + eps else UNKNOWN,
@@ -181,8 +182,8 @@ def _build_payload(inst, eps: float, config: RefuteConfig, heavy_dual) -> dict:
 
 def _refute(inst, eps: float, config: RefuteConfig | None) -> Certificate:
     config = config or DEFAULT_CONFIG
-    return Certificate(payload=_build_payload(inst, eps, config,
-                                              lambda mat: inf1_upper(mat, config)[1]))
+    return Certificate(payload=_build_payload(inst, instance_digest(inst), eps, config,
+                                              lambda mat: inf1_upper(mat)[1]))
 
 
 def refute_partitioned(inst: PartitionedInstance, eps: float,
@@ -205,7 +206,7 @@ class _DualRejected(Exception):
     """The recorded heavy-side dual fails one of its checks."""
 
 
-def _checked_dual(data: dict, mat: SparseMat, config: RefuteConfig) -> DualCert:
+def _checked_dual(data: dict, mat: SparseMat) -> DualCert:
     """Parse a recorded dual and check that it certifies Z(d) + slack*I PSD."""
     dual = DualCert.from_json_dict(data)  # non-finite entries raise ValueError
     if len(dual.d_left) != mat.rows or len(dual.d_right) != mat.cols:
@@ -213,8 +214,7 @@ def _checked_dual(data: dict, mat: SparseMat, config: RefuteConfig) -> DualCert:
     d = np.array(dual.d_left + dual.d_right, dtype=float)
     if dual.slack < 0 or (d < 0).any():
         raise _DualRejected("dual certificate has negative entries")
-    if not min_eig_check(z_matrix(mat, d), dual.slack,
-                         tol=config.norm_tol, max_iter=config.norm_max_iter):
+    if not min_eig_check(z_matrix(mat, d), dual.slack):
         raise _DualRejected("dual certificate fails the PSD check")
     return dual
 
@@ -266,7 +266,8 @@ def verify_certificate_detailed(cert: Certificate, inst) -> tuple[bool, list[str
         if not 0.0 < eps < 0.5:
             return False, ["eps out of range"]
         config = RefuteConfig.from_json_dict(payload["config"])
-        if payload["instance_digest"] != instance_digest(inst):
+        digest = instance_digest(inst)
+        if payload["instance_digest"] != digest:
             return False, ["instance digest mismatch"]
         kind = payload["kind"]
         if kind not in ("kxor", "p2xor"):
@@ -274,8 +275,8 @@ def verify_certificate_detailed(cert: Certificate, inst) -> tuple[bool, list[str
         if not isinstance(inst, KXorInstance if kind == "kxor" else PartitionedInstance):
             return False, ["certificate kind does not match the instance"]
         rebuilt = _build_payload(
-            inst, eps, config,
-            lambda mat: _checked_dual(payload["heavy"]["report"]["dual"], mat, config))
+            inst, digest, eps, config,
+            lambda mat: _checked_dual(payload["heavy"]["report"]["dual"], mat))
     except _DualRejected as exc:
         return False, [str(exc)]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -200,21 +200,6 @@ def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> De
     return Decomposition(light=light, heavy=heavy, d_cap=d_cap, provenance=tuple(provenance))
 
 
-def heavy_sub_instance(dec: Decomposition) -> PartitionedInstance | None:
-    """Pull the heavy side back to original (part, pair, sign) constraints."""
-    if dec.heavy.m == 0:
-        return None
-    rows = []
-    ell = 1
-    n = dec.heavy.n_right
-    for left_idx, right, s in dec.heavy.constraints:
-        part, vertex = dec.heavy.left_labels[left_idx]
-        u, v = min(vertex, right), max(vertex, right)
-        rows.append((part, u, v, s))
-        ell = max(ell, part + 1)
-    return PartitionedInstance.make(n=n, ell=ell, constraints=rows)
-
-
 def bipartite_matrix(bip: BipartiteInstance) -> SparseMat:
     """Signed biadjacency matrix: entry (left, right) sums constraint signs."""
     return SparseMat.from_entries(

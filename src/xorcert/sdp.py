@@ -4,10 +4,10 @@ For M of shape (a, b) and d = (d_left, d_right) with
 Z(d) = [[Diag(d_left), -M], [-M^T, Diag(d_right)]] >= -slack * I, every
 x in {+/-1}^a, y in {+/-1}^b satisfies
     x^T M y <= (sum d)/2 + slack * (a+b)/2,
-so a certified PSD check of Z(d) yields a sound upper bound on the
-infinity-to-one norm.  Minimizing sum(d) subject to Z(d) PSD is the dual of
-the standard SDP relaxation, whose value exceeds the true norm by at most the
-Grothendieck constant.
+so a certified PSD check of Z(d) (``min_eig_check``, one Cholesky) yields a
+sound upper bound on the infinity-to-one norm.  Minimizing sum(d) subject to
+Z(d) PSD is the dual of the standard SDP relaxation, whose value exceeds the
+true norm by at most the Grothendieck constant.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import PartitionedInstance
-from .linalg import SparseMat, l1_norm_bound, min_eig_lower_bound
+from .linalg import SparseMat, min_eig_check, psd_shift
 from .reduce import BipartiteInstance, bipartite_matrix
 
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
@@ -76,26 +75,24 @@ def z_matrix(m: SparseMat, d: np.ndarray) -> SparseMat:
     return SparseMat.from_arrays(nn, nn, rows, cols, vals)
 
 
-def _is_pd(z: np.ndarray) -> bool:
+def _logdet(z: np.ndarray) -> float:
+    """log det z from one Cholesky; -inf unless z is strictly inside the PSD cone."""
     # strict-interior test: Cholesky can succeed on exactly singular matrices
     try:
-        chol = np.linalg.cholesky(z)
+        piv = np.diag(np.linalg.cholesky(z))
     except np.linalg.LinAlgError:
-        return False
-    piv = float(np.diag(chol).min())
-    return piv * piv > 1e-14 * max(1.0, float(np.abs(z).max()))
-
-
-def _logdet(z: np.ndarray) -> float:
-    chol = np.linalg.cholesky(z)
-    return 2.0 * float(np.log(np.diag(chol)).sum())
+        return -math.inf
+    low = float(piv.min())
+    if low * low <= 1e-14 * max(1.0, float(np.abs(z).max())):
+        return -math.inf
+    return 2.0 * float(np.log(piv).sum())
 
 
 def _barrier_solve(w: np.ndarray, d0: np.ndarray, gap_rel: float = 1e-7) -> np.ndarray:
     """Interior-point minimization of sum(d) s.t. Diag(d) - W PSD (dense, small)."""
     n = w.shape[0]
     d = d0.astype(np.float64).copy()
-    while not _is_pd(np.diag(d) - w):  # d0 is diagonally dominant; belt and braces
+    while (logdet := _logdet(np.diag(d) - w)) == -math.inf:  # d0 is diagonally dominant
         d = 1.5 * d + 1e-9
     t = n / max(float(d.sum()), 1e-300)
     for _ in range(80):  # outer barrier rounds
@@ -114,17 +111,17 @@ def _barrier_solve(w: np.ndarray, d0: np.ndarray, gap_rel: float = 1e-7) -> np.n
             dec2 = float(-grad @ delta)
             if not math.isfinite(dec2) or dec2 <= 1e-16:
                 break
-            merit = t * float(d.sum()) - _logdet(z)
+            merit = t * float(d.sum()) - logdet
             step = 1.0
             for _ in range(60):
                 cand = d + step * delta
-                zc = np.diag(cand) - w
-                if _is_pd(zc) and t * float(cand.sum()) - _logdet(zc) <= merit - 0.25 * step * dec2:
+                cand_logdet = _logdet(np.diag(cand) - w)
+                if t * float(cand.sum()) - cand_logdet <= merit - 0.25 * step * dec2:
                     break
                 step *= 0.5
             else:
                 break
-            d = d + step * delta
+            d, logdet = cand, cand_logdet
         if n / t <= gap_rel * max(1.0, float(d.sum())):
             break
         t *= 8.0
@@ -145,32 +142,33 @@ def _scale_to_boundary(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d * s
 
 
-def _certify(m: SparseMat, d: np.ndarray, config: RefuteConfig) -> tuple[float, DualCert]:
-    """Lift d until the PSD check passes and return the certified bound."""
-    a, b = m.rows, m.cols
+def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
+    """The dual certificate for d, or None if Z(d) fails the PSD check.
+
+    d is clamped at 0 and rounded up onto a grid 2^-24 below its largest
+    entry, which keeps PSD-ness and drops the last digits that the BLAS
+    thread count changes.  The slack, 4x the check's shift, lets a PSD Z(d) pass.
+    """
+    a = m.rows
     d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
-    z = z_matrix(m, d)
-    lb = min_eig_lower_bound(z, tol=config.norm_tol, max_iter=config.norm_max_iter)
-    if lb < 0.0:
-        d = d + (-lb) * (1.0 + 1e-9) + 1e-15
-        z = z_matrix(m, d)
-        lb = min_eig_lower_bound(z, tol=config.norm_tol, max_iter=config.norm_max_iter)
-    scale = max(1.0, l1_norm_bound(z))
-    slack = max(0.0, -lb) + config.psd_slack_rel * scale
-    cert = DualCert(d_left=tuple(float(x) for x in d[:a]),
+    q = 2.0 ** (math.frexp(float(d.max()))[1] - 24)
+    d = np.ceil(d / q) * q
+    slack = 4.0 * psd_shift(d)
+    if not min_eig_check(z_matrix(m, d), slack):
+        return None
+    return DualCert(d_left=tuple(float(x) for x in d[:a]),
                     d_right=tuple(float(x) for x in d[a:]),
                     slack=slack)
-    return cert.bound(), cert
 
 
-def inf1_upper(m: SparseMat, config: RefuteConfig | None = None) -> tuple[float, DualCert]:
+def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
     """Certified upper bound on the infinity-to-one norm with its dual certificate.
 
     The candidates are d0 (the l1 row and column sums), the barrier optimum
     on d0's support and d0 itself, the last two scaled onto the PSD boundary;
-    the smallest certified bound wins.
+    the smallest bound among those that pass the PSD check wins.  d0 makes
+    Z(d0) diagonally dominant, so it always passes.
     """
-    config = config or DEFAULT_CONFIG
     a, b = m.rows, m.cols
     if m.nnz == 0:
         return 0.0, DualCert(d_left=(0.0,) * a, d_right=(0.0,) * b, slack=0.0)
@@ -182,12 +180,10 @@ def inf1_upper(m: SparseMat, config: RefuteConfig | None = None) -> tuple[float,
     d_opt = np.zeros(a + b)
     if idx.size:
         d_opt[idx] = _barrier_solve(w[np.ix_(idx, idx)], d0[idx])
-    best: tuple[float, DualCert] | None = None
-    for d in (d0, _scale_to_boundary(w, d_opt), _scale_to_boundary(w, d0)):
-        bound, cert = _certify(m, d, config)
-        if best is None or bound < best[0]:
-            best = (bound, cert)
-    return best
+    candidates = (d0, _scale_to_boundary(w, d_opt), _scale_to_boundary(w, d0))
+    certs = [_certify(m, d) for d in candidates]
+    best = min((cert for cert in certs if cert is not None), key=DualCert.bound)
+    return best.bound(), best
 
 
 def inf1_lower_round(m: SparseMat, trials: int = 32, seed: int = 0):
@@ -256,16 +252,15 @@ def two_xor_matrix(inst) -> SparseMat:
     raise TypeError(f"unsupported instance type {type(inst).__name__}")
 
 
-def refute_2xor(inst, eps: float, config: RefuteConfig | None = None) -> TwoXorReport:
+def refute_2xor(inst, eps: float) -> TwoXorReport:
     """Refute an ell=1 or bipartite 2-XOR instance: SUCCESS iff bound <= 2*eps*m."""
-    config = config or DEFAULT_CONFIG
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     m_count = inst.m
     if m_count == 0:
         raise ValueError("empty instance")
     mat = two_xor_matrix(inst)
-    bound, cert = inf1_upper(mat, config)
+    bound, cert = inf1_upper(mat)
     val_upper, status = two_xor_value(bound, eps, m_count)
     return TwoXorReport(
         status=status, m=m_count, rows=mat.rows, cols=mat.cols,

@@ -3,7 +3,8 @@
 Each one recomputes, the slow and obvious way, something the library derives
 cleverly: single blocks and single-part blocks of the canonical pair matrix,
 the potential Phi evaluated directly and through the blocks, the exact block
-variance norm, and the heavy side's bipartite relaxation optimum.
+variance norm, the heavy side pulled back to partitioned constraints, and the
+heavy side's bipartite relaxation optimum.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ import numpy as np
 
 from xorcert import (Decomposition, DegreeProfile, PartitionedInstance, SparseMat,
                      WeightClassPartition, bipartite_matrix, brute_force_inf1,
-                     brute_force_val, build_blocks, degree_profile, heavy_sub_instance,
-                     phi2_term)
+                     brute_force_val, build_blocks, degree_profile, phi2_term)
 from xorcert.spectral import Block, _accumulate_blocks, _kept_mu
 
 
@@ -131,6 +131,21 @@ def empirical_variance_norm(inst: PartitionedInstance, partition: WeightClassPar
                     total += _fourth_moment(groups, dup)
                 x[idx[p_row], idx[p_col]] += total / t
     return float(np.abs(np.linalg.eigvalsh(x)).max())
+
+
+def heavy_sub_instance(dec: Decomposition) -> PartitionedInstance | None:
+    """Pull the heavy side back to original (part, pair, sign) constraints."""
+    if dec.heavy.m == 0:
+        return None
+    rows = []
+    ell = 1
+    n = dec.heavy.n_right
+    for left_idx, right, s in dec.heavy.constraints:
+        part, vertex = dec.heavy.left_labels[left_idx]
+        u, v = min(vertex, right), max(vertex, right)
+        rows.append((part, u, v, s))
+        ell = max(ell, part + 1)
+    return PartitionedInstance.make(n=n, ell=ell, constraints=rows)
 
 
 def heavy_value_dominates(dec: Decomposition, cap: int = 24) -> bool:

@@ -14,7 +14,6 @@ from xorcert import (
     bernstein_threshold,
     l1_norm_bound,
     min_eig_check,
-    min_eig_lower_bound,
     spectral_norm,
 )
 
@@ -97,17 +96,6 @@ def test_spectral_norm_zero_and_empty():
     assert spectral_norm(empty).upper == 0.0
 
 
-def test_min_eig_lower_bound_sound(rng):
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        a = rng.standard_normal((n, n))
-        s = SparseMat.from_dense(a + a.T)
-        lam = float(np.linalg.eigvalsh(s.to_dense()).min())
-        lb = min_eig_lower_bound(s)
-        assert lb <= lam + 1e-12
-        assert lam - lb <= 1e-5 * max(1.0, abs(lam))
-
-
 def test_min_eig_check():
     eye = SparseMat.from_dense(np.eye(3))
     assert min_eig_check(eye, slack=0.0)
@@ -117,9 +105,29 @@ def test_min_eig_check():
     with pytest.raises(ValueError):
         min_eig_check(eye, slack=-1.0)
     with pytest.raises(ValueError):
-        min_eig_lower_bound(SparseMat.from_dense([[0.0, 1.0], [0.0, 0.0]]))
+        min_eig_check(SparseMat.from_dense([[0.0, 1.0], [0.0, 0.0]]), slack=0.0)
     with pytest.raises(ValueError):
-        min_eig_lower_bound(SparseMat.from_dense(np.ones((2, 3))))
+        min_eig_check(SparseMat.from_dense(np.ones((2, 3))), slack=0.0)
+
+
+def _near_degenerate(seed: int) -> tuple[SparseMat, float]:
+    """40x40 symmetric S with lambda_min = -1 and lambda_2 = -1 + gap, gap in [1e-6, 1e-4]."""
+    gen = np.random.default_rng(seed)
+    gap = 10.0 ** gen.uniform(-6.0, -4.0)
+    lam = np.concatenate([[-1.0, -1.0 + gap], gen.uniform(0.0, 1.0, 38)])
+    q, _ = np.linalg.qr(gen.standard_normal((40, 40)))
+    s = (q * lam) @ q.T
+    s = (s + s.T) / 2.0
+    return SparseMat.from_dense(s), float(np.linalg.eigvalsh(s)[0])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_min_eig_check_near_degenerate(seed):
+    # a nearly repeated smallest eigenvalue stalls power iteration, whose
+    # estimate then lies above lambda_min; the Cholesky check has no such gap
+    s, lam = _near_degenerate(seed)
+    assert not min_eig_check(s, (1.0 - 1e-6) * abs(lam))
+    assert min_eig_check(s, (1.0 + 1e-6) * abs(lam))
 
 
 def test_bernstein_tail_edges():

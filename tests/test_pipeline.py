@@ -3,12 +3,17 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xorcert.linalg
 import xorcert.pipeline
 import xorcert.sdp
 from xorcert import (
@@ -325,6 +330,57 @@ def test_verify_never_solves_the_sdp(dense_kxor, monkeypatch):
     monkeypatch.setattr(xorcert.sdp, "inf1_upper", solve)
     monkeypatch.setattr(xorcert.pipeline, "inf1_upper", solve)
     assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def test_verify_hashes_the_instance_once(dense_kxor, monkeypatch):
+    inst, cert = dense_kxor
+    hashed = []
+    digest = xorcert.pipeline.instance_digest
+
+    def counting(obj):
+        hashed.append(obj)
+        return digest(obj)
+
+    monkeypatch.setattr(xorcert.pipeline, "instance_digest", counting)
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+    assert sum(obj is inst for obj in hashed) == 1
+
+
+def test_heavy_side_runs_no_power_iteration(monkeypatch):
+    # the light side is trivial here, so spectral_norm is never needed
+    inst = gen_kxor(GenSpec(kind="random", n=10, m=1500, seed=1, k=3))
+
+    def iterate(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(xorcert.linalg, "_power_squared_run", iterate)
+    cert = refute_kxor(inst, eps=0.4)
+    assert cert.payload["light"]["mode"] == "trivial"
+    assert cert.payload["heavy"]["mode"] == "sdp"
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+_REFUTE_TO_STDOUT = (
+    "import sys\n"
+    "from xorcert import GenSpec, gen_kxor, refute_kxor\n"
+    "inst = gen_kxor(GenSpec(kind='random', n=20, m=6000, seed=1, k=3))\n"
+    "sys.stdout.write(refute_kxor(inst, eps=0.4).to_json())\n"
+)
+
+
+def test_certificate_bytes_independent_of_blas_threads():
+    # the dual is rounded onto a binary grid, so the last digits that the
+    # BLAS thread count changes in the SDP solve never reach the certificate
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _REFUTE_TO_STDOUT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["heavy"]["mode"] == "sdp"
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("path", [

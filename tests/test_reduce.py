@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import heavy_value_dominates
+from helpers import heavy_sub_instance, heavy_value_dominates
 from xorcert import (
     GenSpec,
     KXorInstance,
@@ -14,7 +14,6 @@ from xorcert import (
     decompose,
     gen_kxor,
     gen_random_partitioned,
-    heavy_sub_instance,
     kxor_to_partitioned,
 )
 

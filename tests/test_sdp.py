@@ -17,6 +17,7 @@ from xorcert import (
     two_xor_matrix,
     z_matrix,
 )
+from xorcert.sdp import _certify
 
 
 def test_z_matrix_assembly():
@@ -106,6 +107,20 @@ def test_inf1_upper_non_square_certifies():
     assert truth - 1e-9 <= bound
     d = np.array(cert.d_left + cert.d_right)
     assert min_eig_check(z_matrix(m, d), cert.slack)
+
+
+def test_d0_certifies_at_2000_dims():
+    # Z(d0) is diagonally dominant, so the Cholesky check passes it at any size
+    gen = np.random.default_rng(0)
+    rows, cols, per_row = 1200, 900, 5
+    flat = gen.choice(rows * cols, size=rows * per_row, replace=False)
+    m = SparseMat.from_arrays(rows, cols, flat // cols, flat % cols,
+                              gen.choice([-1.0, 1.0], size=flat.size))
+    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    cert = _certify(m, d0)
+    assert cert is not None
+    assert cert.d_left + cert.d_right == tuple(d0)  # integer d0 is already on the grid
+    assert 0.0 < cert.slack <= 1e-10 * float(d0.sum())
 
 
 def test_two_xor_matrix_dispatch():
