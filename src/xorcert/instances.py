@@ -106,13 +106,6 @@ class PartitionedInstance:
             canon.append((int(part), int(u), int(v), int(s)))
         return cls(n=n, ell=ell, constraints=tuple(canon))
 
-    def part_sizes(self) -> list[int]:
-        """Number of constraints t_i in each of the ell parts (zeros included)."""
-        t = [0] * self.ell
-        for part, _, _, _ in self.constraints:
-            t[part] += 1
-        return t
-
     def mu_tables(self) -> list[dict[tuple[int, int], int]]:
         """Per part, the signed multiplicity mu_i(e) of each distinct pair e."""
         mu: list[dict[tuple[int, int], int]] = [dict() for _ in range(self.ell)]
@@ -191,15 +184,13 @@ class DegreeProfile:
     """Degree data of a partitioned instance, with empty parts dropped.
 
     Slot j corresponds to original part index part_ids[j]; t[j] is the number
-    of constraints in that part, deg[j] maps vertex -> occurrence count, and
-    dup[j] maps each distinct pair to its (unsigned) multiplicity.
+    of constraints in that part and deg[j] maps vertex -> occurrence count.
     """
 
     n: int
     part_ids: tuple[int, ...]
     t: tuple[int, ...]
     deg: tuple[dict[int, int], ...]
-    dup: tuple[dict[tuple[int, int], int], ...]
 
     @property
     def m(self) -> int:
@@ -215,20 +206,17 @@ class DegreeProfile:
 
 
 def degree_profile(inst: PartitionedInstance) -> DegreeProfile:
-    """Collect per-part degrees and pair multiplicities, dropping empty parts."""
-    sizes = inst.part_sizes()
-    part_ids = tuple(i for i in range(inst.ell) if sizes[i] > 0)
-    slot = {orig: j for j, orig in enumerate(part_ids)}
-    t = [0] * len(part_ids)
-    deg: list[dict[int, int]] = [dict() for _ in part_ids]
-    dup: list[dict[tuple[int, int], int], ] = [dict() for _ in part_ids]
+    """Collect per-part sizes and degrees in one pass, dropping empty parts."""
+    t: dict[int, int] = {}
+    deg: dict[int, dict[int, int]] = {}
     for part, u, v, _ in inst.constraints:
-        j = slot[part]
-        t[j] += 1
-        deg[j][u] = deg[j].get(u, 0) + 1
-        deg[j][v] = deg[j].get(v, 0) + 1
-        dup[j][(u, v)] = dup[j].get((u, v), 0) + 1
-    return DegreeProfile(n=inst.n, part_ids=part_ids, t=tuple(t), deg=tuple(deg), dup=tuple(dup))
+        t[part] = t.get(part, 0) + 1
+        table = deg.setdefault(part, {})
+        table[u] = table.get(u, 0) + 1
+        table[v] = table.get(v, 0) + 1
+    part_ids = tuple(sorted(t))
+    return DegreeProfile(n=inst.n, part_ids=part_ids, t=tuple(t[i] for i in part_ids),
+                         deg=tuple(deg[i] for i in part_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +243,42 @@ def to_json_dict(inst) -> dict:
     raise TypeError(f"unsupported instance type {type(inst).__name__}")
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_rows(data: dict, width: int) -> list[list[int]]:
+    rows = data["constraints"]
+    if not isinstance(rows, list):
+        raise ValueError("constraints must be a list")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"constraint {row!r} must be a list of {width} integers")
+        for x in row:
+            _json_int(x, "constraint entry")
+    return rows
+
+
 def from_json_dict(data: dict):
-    """Parse an instance from its canonical JSON dictionary."""
+    """Parse an instance from its canonical JSON dictionary.
+
+    Everything but the layout is checked by the instance constructors; here
+    the top level must be an object, every row must have the right length,
+    and every number must be a JSON integer (not a float or a boolean).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "kxor":
-        k = int(data["k"])
-        constraints = [(row[:-1], row[-1]) for row in data["constraints"]]
-        return KXorInstance.make(n=int(data["n"]), k=k, constraints=constraints)
+        k = _json_int(data["k"], "k")
+        constraints = [(row[:-1], row[-1]) for row in _json_rows(data, k + 1)]
+        return KXorInstance.make(n=_json_int(data["n"], "n"), k=k, constraints=constraints)
     if kind == "p2xor":
-        rows = [(row[0], row[1], row[2], row[3]) for row in data["constraints"]]
-        return PartitionedInstance.make(n=int(data["n"]), ell=int(data["ell"]), constraints=rows)
+        return PartitionedInstance.make(n=_json_int(data["n"], "n"),
+                                        ell=_json_int(data["ell"], "ell"),
+                                        constraints=_json_rows(data, 4))
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

@@ -152,11 +152,14 @@ class Decomposition:
 
 
 def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> Decomposition:
-    """Repeatedly move every group S(i, v) of size >= ceil(c_split/eps^2) heavy.
+    """Move every group S(i, v) of size >= ceil(c_split/eps^2) heavy.
 
-    The scan over (part, vertex) keys is lexicographic and restarts after each
-    removal batch, so the output is deterministic.  On exit every group in the
-    light side has size < d_cap.
+    One pass visits the (part, vertex) keys in ascending order and moves a
+    group heavy when its live count is still at least d_cap, in original
+    constraint order.  Moving a group only lowers other groups' counts, so a
+    key below the cap stays below it: the pass picks the same groups, in the
+    same order, as repeatedly stripping the smallest over-cap key until none
+    is left.  On exit every group in the light side has size < d_cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -167,33 +170,27 @@ def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> De
         raise ValueError(f"degree cap c_split / eps^2 is not finite "
                          f"(c_split={c_split}, eps={eps})")
     d_cap = math.ceil(cap)
-    live = [(p, u, v, s, j) for j, (p, u, v, s) in enumerate(inst.constraints)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (p, u, v, _) in enumerate(inst.constraints):
+        groups.setdefault((p, u), []).append(j)
+        groups.setdefault((p, v), []).append(j)
+    counts = {key: len(js) for key, js in groups.items()}
     provenance: list[tuple] = [("light",)] * inst.m
     left_labels: list[tuple[int, int]] = []
     heavy_rows: list[tuple[int, int, int]] = []
-    while True:
-        counts: dict[tuple[int, int], int] = {}
-        for p, u, v, _, _ in live:
-            counts[(p, u)] = counts.get((p, u), 0) + 1
-            counts[(p, v)] = counts.get((p, v), 0) + 1
-        target = min((key for key, cnt in counts.items() if cnt >= d_cap), default=None)
-        if target is None:
-            break
-        ti, tv = target
-        left_idx = len(left_labels)
-        left_labels.append(target)
-        stay = []
-        for row in live:
-            p, u, v, s, j = row
-            if p == ti and tv in (u, v):
-                heavy_rows.append((left_idx, v if u == tv else u, s))
+    for ti, tv in sorted(groups):
+        if counts[(ti, tv)] < d_cap:
+            continue
+        left_labels.append((ti, tv))
+        for j in groups[(ti, tv)]:
+            if provenance[j] == ("light",):
+                _, u, v, s = inst.constraints[j]
+                other = v if u == tv else u
+                heavy_rows.append((len(left_labels) - 1, other, s))
                 provenance[j] = ("heavy", ti, tv)
-            else:
-                stay.append(row)
-        live = stay
-    light = PartitionedInstance(
-        n=inst.n, ell=inst.ell, constraints=tuple((p, u, v, s) for p, u, v, s, _ in live)
-    )
+                counts[(ti, other)] -= 1
+    light = PartitionedInstance(n=inst.n, ell=inst.ell, constraints=tuple(
+        c for c, tag in zip(inst.constraints, provenance) if tag == ("light",)))
     heavy = BipartiteInstance(
         left_labels=tuple(left_labels), n_right=inst.n, constraints=tuple(heavy_rows)
     )

@@ -1,10 +1,11 @@
 """Test-only reference computations: brute force and direct evaluations.
 
 Each one recomputes, the slow and obvious way, something the library derives
-cleverly: single blocks and single-part blocks of the canonical pair matrix,
-the potential Phi evaluated directly and through the blocks, the exact block
-variance norm, the heavy side pulled back to partitioned constraints, and the
-heavy side's bipartite relaxation optimum.
+cleverly: the heavy/light split by repeated stripping, single blocks and
+single-part blocks of the canonical pair matrix, the potential Phi evaluated
+directly and through the blocks, the exact block variance norm, the heavy side
+pulled back to partitioned constraints, and the heavy side's bipartite
+relaxation optimum.
 """
 from __future__ import annotations
 
@@ -13,10 +14,59 @@ from fractions import Fraction
 
 import numpy as np
 
-from xorcert import (Decomposition, DegreeProfile, PartitionedInstance, SparseMat,
-                     WeightClassPartition, bipartite_matrix, brute_force_inf1,
+from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
+                     SparseMat, WeightClassPartition, bipartite_matrix, brute_force_inf1,
                      brute_force_val, build_blocks, degree_profile, phi2_term)
 from xorcert.spectral import Block, _accumulate_blocks, _kept_mu
+
+
+def decompose_reference(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> Decomposition:
+    """Repeatedly move every group S(i, v) of size >= ceil(c_split/eps^2) heavy.
+
+    The scan over (part, vertex) keys is lexicographic and restarts after each
+    removal batch, so the output is deterministic.  On exit every group in the
+    light side has size < d_cap.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if c_split <= 0:
+        raise ValueError("c_split must be positive")
+    cap = c_split / (eps * eps) if eps * eps > 0 else math.inf
+    if not math.isfinite(cap):
+        raise ValueError(f"degree cap c_split / eps^2 is not finite "
+                         f"(c_split={c_split}, eps={eps})")
+    d_cap = math.ceil(cap)
+    live = [(p, u, v, s, j) for j, (p, u, v, s) in enumerate(inst.constraints)]
+    provenance: list[tuple] = [("light",)] * inst.m
+    left_labels: list[tuple[int, int]] = []
+    heavy_rows: list[tuple[int, int, int]] = []
+    while True:
+        counts: dict[tuple[int, int], int] = {}
+        for p, u, v, _, _ in live:
+            counts[(p, u)] = counts.get((p, u), 0) + 1
+            counts[(p, v)] = counts.get((p, v), 0) + 1
+        target = min((key for key, cnt in counts.items() if cnt >= d_cap), default=None)
+        if target is None:
+            break
+        ti, tv = target
+        left_idx = len(left_labels)
+        left_labels.append(target)
+        stay = []
+        for row in live:
+            p, u, v, s, j = row
+            if p == ti and tv in (u, v):
+                heavy_rows.append((left_idx, v if u == tv else u, s))
+                provenance[j] = ("heavy", ti, tv)
+            else:
+                stay.append(row)
+        live = stay
+    light = PartitionedInstance(
+        n=inst.n, ell=inst.ell, constraints=tuple((p, u, v, s) for p, u, v, s, _ in live)
+    )
+    heavy = BipartiteInstance(
+        left_labels=tuple(left_labels), n_right=inst.n, constraints=tuple(heavy_rows)
+    )
+    return Decomposition(light=light, heavy=heavy, d_cap=d_cap, provenance=tuple(provenance))
 
 
 def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
@@ -34,7 +84,7 @@ def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
     profile = degree_profile(inst)
     sub = DegreeProfile(
         n=profile.n, part_ids=(profile.part_ids[slot],), t=(profile.t[slot],),
-        deg=(profile.deg[slot],), dup=(profile.dup[slot],),
+        deg=(profile.deg[slot],),
     )
     mu = [_kept_mu(inst, profile)[slot]]
     blocks = _accumulate_blocks(sub, mu, partition)
@@ -111,10 +161,14 @@ def empirical_variance_norm(inst: PartitionedInstance, partition: WeightClassPar
                if partition.class_of((w, wp)) == k]
     if not pairs_j or not pairs_k:
         return 0.0
-    profile = degree_profile(inst)
+    dups: dict[int, dict[tuple[int, int], int]] = {}  # per part: pair -> multiplicity
+    for part, u, v, _ in inst.constraints:
+        table = dups.setdefault(part, {})
+        table[(u, v)] = table.get((u, v), 0) + 1
     idx = {p: i for i, p in enumerate(pairs_j)}
     x = np.zeros((len(pairs_j), len(pairs_j)))
-    for t, dup in zip(profile.t, profile.dup):
+    for _, dup in sorted(dups.items()):
+        t = sum(dup.values())
         for p_row in pairs_j:
             for p_col in pairs_j:
                 total = 0.0

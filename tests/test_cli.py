@@ -207,3 +207,22 @@ def test_refute_rejects_tiny_eps(workdir, capsys, eps):
                "--seed", 0, "-o", inst) == 0
     assert run("refute", "--in", inst, "--eps", eps) == 2
     assert "Traceback" not in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",  # not a JSON object
+    '{"kind": "p2xor", "n": 4, "ell": 1, "constraints": [[0, 1]]}',  # short row
+    '{"kind": "p2xor", "n": 4, "ell": 1, "constraints": [[0, 1.7, 2, 1]]}',  # float vertex
+    '{"kind": "kxor", "n": 4, "k": 3, "constraints": [[0, 1, 2, 1.5]]}',  # float sign
+    '{"kind": "kxor", "n": 4, "k": 3, "constraints": [[0, 1, 2, true]]}',  # boolean sign
+], ids=["not-object", "short-row", "float-vertex", "float-sign", "bool-sign"])
+def test_malformed_instance_is_an_input_error(workdir, capsys, text):
+    inst = workdir / "inst.json"
+    cert = workdir / "cert.json"
+    inst.write_text(text)
+    cert.write_text("{}")
+    assert run("refute", "--in", inst, "--eps", 0.3, "-o", cert) == 2
+    assert run("verify", "--inst", inst, "--cert", cert) == 2
+    out, err = capsys.readouterr()
+    assert "bad instance file" in err
+    assert "Traceback" not in out + err

@@ -3,11 +3,15 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import heavy_sub_instance, heavy_value_dominates
+from helpers import decompose_reference, heavy_sub_instance, heavy_value_dominates
 from xorcert import (
+    FAMILIES,
     GenSpec,
     KXorInstance,
+    PartitionedInstance,
     SubsetDictionary,
     bipartite_matrix,
     brute_force_val,
@@ -152,3 +156,81 @@ def test_heavy_value_dominates(family, seed):
     phi = gen_kxor(GenSpec(kind=family, n=10, m=60, seed=seed, k=2))
     dec = decompose(kxor_to_partitioned(phi).psi, eps=0.4)
     assert heavy_value_dominates(dec)
+
+
+def _drops_a_group(inst, dec) -> bool:
+    """True when some group starts at or above the cap but ends up light."""
+    counts: dict[tuple[int, int], int] = {}
+    for p, u, v, _ in inst.constraints:
+        counts[(p, u)] = counts.get((p, u), 0) + 1
+        counts[(p, v)] = counts.get((p, v), 0) + 1
+    over = {key for key, cnt in counts.items() if cnt >= dec.d_cap}
+    return not over <= set(dec.heavy.left_labels)
+
+
+def test_decompose_matches_repeated_stripping():
+    cases = []
+    for family in FAMILIES:
+        for k in (2, 3, 4):
+            for seed in (0, 1):
+                phi = gen_kxor(GenSpec(kind=family, n=10, m=120, seed=seed, k=k))
+                cases.append(kxor_to_partitioned(phi).psi)
+    for seed in range(3):
+        cases.append(gen_random_partitioned(8, 2, 120, seed=seed))
+        cases.append(gen_random_partitioned(12, 3, 300, seed=seed))
+    heavy = dropped = 0
+    for psi in cases:
+        for eps in (0.3, 0.5, 0.8, 1.5):
+            dec = decompose(psi, eps)
+            assert dec == decompose_reference(psi, eps)
+            heavy += dec.m_heavy > 0
+            dropped += _drops_a_group(psi, dec)
+    # the grid must exercise both heavy groups and groups pushed back under the cap
+    assert heavy > 0 and dropped > 0
+
+
+@st.composite
+def _planted_groups(draw):
+    """Small instances with a few high-degree groups that share pairs."""
+    n = draw(st.integers(3, 8))
+    ell = draw(st.integers(1, 3))
+    hubs = draw(st.lists(st.tuples(st.integers(0, ell - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=4, unique=True))
+    near = list(range(min(n, 4)))  # partners drawn mostly among the hubs' vertices
+    rows = []
+    for part, hub in hubs:
+        for _ in range(draw(st.integers(1, 12))):
+            other = draw(st.sampled_from(near) | st.integers(0, n - 1))
+            if other != hub:
+                rows.append((part, hub, other, draw(st.sampled_from([-1, 1]))))
+    for _ in range(draw(st.integers(0, 10))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows.append((draw(st.integers(0, ell - 1)), u, v, draw(st.sampled_from([-1, 1]))))
+    rows = draw(st.permutations(rows))
+    return PartitionedInstance.make(n=n, ell=ell, constraints=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_groups(), st.integers(1, 10))
+def test_decompose_matches_repeated_stripping_planted(inst, d_cap):
+    dec = decompose(inst, 1.0, c_split=float(d_cap))
+    assert dec.d_cap == d_cap
+    assert dec == decompose_reference(inst, 1.0, c_split=float(d_cap))
+
+
+@pytest.mark.parametrize("extra,labels,heavy,light", [
+    ([], ((0, 0),), ((0, 1, 1), (0, 2, 1), (0, 3, -1)), ((0, 1, 4, 1), (0, 1, 5, -1))),
+    ([(0, 1, 6, 1)], ((0, 0), (0, 1)),
+     ((0, 1, 1), (0, 2, 1), (0, 3, -1), (1, 4, 1), (1, 5, -1), (1, 6, 1)), ()),
+])
+def test_decompose_shared_constraint_at_cap(extra, labels, heavy, light):
+    # (0, 0) and (0, 1) each hold exactly d_cap = 3 constraints and share (0, 0, 1);
+    # moving (0, 0) heavy leaves (0, 1) with 2 + len(extra)
+    rows = [(0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 3, -1), (0, 1, 4, 1), (0, 1, 5, -1)] + extra
+    inst = PartitionedInstance.make(n=7, ell=1, constraints=rows)
+    dec = decompose(inst, 1.0, c_split=3.0)
+    assert dec.d_cap == 3
+    assert dec.heavy.left_labels == labels
+    assert dec.heavy.constraints == heavy
+    assert dec.light.constraints == light
+    assert dec == decompose_reference(inst, 1.0, c_split=3.0)
