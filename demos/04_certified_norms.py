@@ -29,18 +29,18 @@ assert nb.upper - nb.lower <= 1e-5 * max(1.0, sigma)
 print("l1 bound:", round(l1_norm_bound(m), 6))
 assert l1_norm_bound(m) >= sigma
 
-# min_eig_check(s, slack) decides "lambda_min(s) >= -slack" -- the form the
-# dual certificates need -- with one Cholesky of s + slack*I - c*I, where the
-# shift c covers every rounding of the factorization.  Prover and verifier
-# both call it on the heavy side's slack matrices.
+# min_eig_check(s, slack) decides "lambda_min(s) >= -slack" for a dense
+# symmetric array -- the form the dual certificates need -- with one Cholesky
+# of s + slack*I - c*I, where the shift c covers every rounding of the
+# factorization.  Prover and verifier both call it on the heavy side's Z(d).
 sym = dense[:25, :25] + dense[:25, :25].T + 10.0 * np.eye(25)
 true_min = float(np.linalg.eigvalsh(sym)[0])
 print(f"min eigenvalue (eigh): {true_min:.6f}")
-assert min_eig_check(SparseMat.from_dense(sym), 0.0)  # positive definite
+assert min_eig_check(sym, 0.0)  # positive definite
 
 # A matrix with min eigenvalue -0.5 needs slack 0.5; the rounding shift is
 # tiny, so the check is decided within a hair of the true eigenvalue.
-shifted = SparseMat.from_dense(sym - (true_min + 0.5) * np.eye(25))
+shifted = sym - (true_min + 0.5) * np.eye(25)
 assert not min_eig_check(shifted, 0.0)
 assert not min_eig_check(shifted, 0.4999)
 assert min_eig_check(shifted, 0.5001)

@@ -5,13 +5,17 @@ import numpy as np
 
 from xorcert import (
     KG_UPPER,
+    REFUTED,
+    UNKNOWN,
+    PartitionedInstance,
     SparseMat,
     brute_force_inf1,
     gen_random_partitioned,
     inf1_lower_round,
     inf1_upper,
     min_eig_check,
-    refute_2xor,
+    refute_partitioned,
+    verify_certificate,
     z_matrix,
 )
 
@@ -28,9 +32,12 @@ print(f"brute inf1 = {truth:.1f}, certified upper = {upper:.4f}",
       f"(ratio {upper / truth:.3f}, Grothendieck gap < {KG_UPPER:.3f})")
 assert truth <= upper
 
-# The certificate is checkable without rerunning the solver: rebuild Z(d),
-# confirm PSD-ness within the recorded slack, recompute the bound arithmetic.
-assert min_eig_check(z_matrix(m, np.array(cert.d_left + cert.d_right)), cert.slack)
+# The certificate is checkable without rerunning the solver: rebuild Z(d) as
+# a dense array, confirm PSD-ness within the recorded slack with one
+# Cholesky, recompute the bound arithmetic.
+z = z_matrix(m, np.array(cert.d_left + cert.d_right))
+assert isinstance(z, np.ndarray) and z.shape == (11, 11)
+assert min_eig_check(z, cert.slack)
 assert cert.bound() == upper
 print("dual certificate re-checked")
 
@@ -39,16 +46,24 @@ lower, _, _ = inf1_lower_round(m)
 print(f"rounded lower bound = {lower:.1f}")
 assert lower <= truth
 
-# refute_2xor puts it together for a single-part instance: bias of every
-# assignment is inf1 / m, so small certified inf1 means small value.
+# The pipeline puts it together.  In a dense single-part instance most
+# (part, vertex) groups reach the degree cap, so most constraints go to the
+# heavy side, whose bias is at most inf1 / m: a small certified inf1 means a
+# small value.
 psi = gen_random_partitioned(n=30, ell=1, m=4000, seed=1)
-report = refute_2xor(psi, eps=0.2)
-print("dense random 2-XOR:", report.status, f"val <= {report.val_upper:.4f}")
-assert report.status == "SUCCESS" and report.val_upper <= 0.7
+cert = refute_partitioned(psi, eps=0.2)
+heavy = cert.payload["heavy"]
+print(f"dense random 2-XOR: {cert.outcome}, val <= {cert.certified_val_upper:.4f}",
+      f"({heavy['m']} of {psi.m} constraints heavy, status {heavy['report']['status']})")
+assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.7
+assert heavy["report"]["status"] == "SUCCESS"
+assert verify_certificate(cert, psi)
 
-# A satisfiable instance can never be refuted: the dual bound stays near m.
-sat = gen_random_partitioned(n=30, ell=1, m=40, seed=2)
-sat = type(sat)(n=30, ell=1, constraints=((0, 0, 1, 1),) * 40)
-report = refute_2xor(sat, eps=0.2)
-print("satisfiable 2-XOR:", report.status, f"val <= {report.val_upper:.4f}")
-assert report.status == "UNKNOWN" and report.val_upper >= 1.0 - 1e-9
+# A satisfiable instance can never be refuted: the dual bound stays at m.
+sat = PartitionedInstance(n=30, ell=1, constraints=((0, 0, 1, 1),) * 200)
+cert = refute_partitioned(sat, eps=0.2)
+heavy = cert.payload["heavy"]
+print(f"satisfiable 2-XOR: {cert.outcome}, val <= {cert.certified_val_upper:.4f}",
+      f"(heavy status {heavy['report']['status']})")
+assert heavy["mode"] == "sdp" and heavy["report"]["status"] == "UNKNOWN"
+assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0

@@ -18,8 +18,7 @@ from .pipeline import (REFUTED, SCHEMA, UNKNOWN, Certificate, refute_kxor,
 from .reduce import (BipartiteInstance, Decomposition, ReducedKXor,
                      SubsetDictionary, bipartite_matrix, decompose,
                      kxor_to_partitioned)
-from .sdp import (KG_UPPER, DualCert, TwoXorReport, inf1_lower_round, inf1_upper,
-                  refute_2xor, two_xor_matrix, z_matrix)
+from .sdp import KG_UPPER, DualCert, inf1_lower_round, inf1_upper, z_matrix
 from .spectral import (Block, BlockRecord, ButterflyTable, DBoundedReport,
                        WeightClassPartition, block_r_bound, block_variance_bound,
                        build_blocks, butterfly, certify_dbounded, dup_correction,
@@ -33,7 +32,7 @@ __all__ = [
     "Decomposition", "DegreeProfile", "DualCert", "FAMILIES", "GenSpec",
     "KG_UPPER", "KXorInstance", "NormBound", "PartitionedInstance",
     "REFUTED", "ReducedKXor", "RefuteConfig", "SCHEMA", "SparseMat",
-    "SubsetDictionary", "TwoXorReport", "UNKNOWN", "WeightClassPartition",
+    "SubsetDictionary", "UNKNOWN", "WeightClassPartition",
     "bernstein_tail", "bernstein_threshold", "bias", "bipartite_matrix",
     "block_r_bound", "block_variance_bound", "brute_force_inf1",
     "brute_force_val", "build_blocks", "butterfly", "canonical_json",
@@ -42,8 +41,8 @@ __all__ = [
     "gen_adversarial_hypergraph", "gen_kxor", "gen_random_kxor",
     "gen_random_partitioned", "inf1_lower_round", "inf1_upper",
     "instance_digest", "kxor_to_partitioned", "l1_norm_bound",
-    "load_instance", "min_eig_check", "phi2_term", "refute_2xor", "refute_kxor",
+    "load_instance", "min_eig_check", "phi2_term", "refute_kxor",
     "refute_partitioned", "save_instance", "spectral_norm",
-    "to_json_dict", "two_xor_matrix", "verify_certificate",
+    "to_json_dict", "verify_certificate",
     "verify_certificate_detailed", "weight_classes", "z_matrix",
 ]

@@ -48,7 +48,7 @@ def _load_config(args) -> RefuteConfig:
     if args.config:
         try:
             config = RefuteConfig.from_json_dict(json.loads(Path(args.config).read_text()))
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
             raise CliError(f"bad config file {args.config}: {exc}") from exc
     return config
 
@@ -56,7 +56,8 @@ def _load_config(args) -> RefuteConfig:
 def _load_instance(path: str):
     try:
         return load_instance(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            RecursionError) as exc:  # RecursionError: JSON nested too deeply to parse
         raise CliError(f"bad instance file {path}: {exc}") from exc
 
 
@@ -154,7 +155,7 @@ def cmd_verify(args) -> int:
     inst = _load_instance(args.inst)
     try:
         cert = Certificate.load(args.cert)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"bad certificate file {args.cert}: {exc}") from exc
     except ValueError as exc:  # valid JSON syntax carrying NaN or Infinity
         ok, failures = False, [str(exc)]

@@ -61,15 +61,6 @@ class SparseMat:
         return cls(rows=rows, cols=cols, r=r, c=c, v=v)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "SparseMat":
-        """Build from an iterable of (row, col, value) triples."""
-        entries = list(entries)
-        r = [e[0] for e in entries]
-        c = [e[1] for e in entries]
-        v = [e[2] for e in entries]
-        return cls.from_arrays(rows, cols, r, c, v)
-
-    @classmethod
     def from_dense(cls, a) -> "SparseMat":
         a = np.asarray(a, dtype=np.float64)
         r, c = np.nonzero(a)
@@ -101,17 +92,6 @@ class SparseMat:
 
     def abs_max(self) -> float:
         return float(np.abs(self.v).max()) if self.nnz else 0.0
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        if self.rows != self.cols:
-            return False
-        a = np.lexsort((self.c, self.r))
-        b = np.lexsort((self.r, self.c))
-        return (
-            np.array_equal(self.r[a], self.c[b])
-            and np.array_equal(self.c[a], self.r[b])
-            and np.allclose(self.v[a], self.v[b], rtol=0.0, atol=tol)
-        )
 
 
 @dataclass(frozen=True)
@@ -255,7 +235,7 @@ def psd_shift(diag: np.ndarray) -> float:
     return c * (1.0 + 16.0 * _U)
 
 
-def min_eig_check(s: SparseMat, slack: float) -> bool:
+def min_eig_check(s: np.ndarray, slack: float) -> bool:
     """True only if lambda_min(S) >= -slack: one Cholesky of B = S + slack*I - c*I.
 
     With t = fl(diag(S) + slack) >= 0 and c = psd_shift(t), the check passes
@@ -270,15 +250,19 @@ def min_eig_check(s: SparseMat, slack: float) -> bool:
     (1 - u)/(1 - 2 gamma) >= 1/(1 - gamma).  Gradual underflow adds at most
     eta/2 per product or quotient, n(n+1)(1 + max t) eta in norm, which the
     last term of c covers.  A negative t_i fails at once: e_i is a witness.
+    S is a dense array; it must be square, finite and exactly symmetric, or
+    ValueError is raised.
     """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    if s.rows != s.cols:
+    a = np.array(s, dtype=np.float64)  # a copy: its diagonal is overwritten below
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not s.is_symmetric():
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    a = s.to_dense()
-    i = np.arange(s.rows)
+    i = np.arange(a.shape[0])
     t = a[i, i] + slack
     if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
         return False

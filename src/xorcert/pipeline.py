@@ -36,8 +36,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import KXorInstance, PartitionedInstance, canonical_json, instance_digest
 from .linalg import SparseMat, min_eig_check
-from .reduce import decompose, kxor_to_partitioned
-from .sdp import DualCert, inf1_upper, two_xor_matrix, two_xor_value, z_matrix
+from .reduce import bipartite_matrix, decompose, kxor_to_partitioned
+from .sdp import DualCert, inf1_upper, two_xor_value, z_matrix
 from .spectral import certify_dbounded
 
 SCHEMA = "cert_v1"
@@ -139,7 +139,7 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
     heavy = {"mode": _side_mode(m2, small, "sdp"), "m": m2, "side_bound": float(m2),
              "report": None}
     if heavy["mode"] == "sdp":
-        mat = two_xor_matrix(dec.heavy)
+        mat = bipartite_matrix(dec.heavy)
         report = _heavy_report(mat, heavy_dual(mat), eps_half, m2)
         heavy.update(side_bound=_side_bound(m2, report["val_upper"]), report=report)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .instances import KXorInstance, PartitionedInstance
 from .linalg import SparseMat
 
@@ -43,13 +45,6 @@ class SubsetDictionary:
 
     def to_json_dict(self) -> dict:
         return {"subset_size": self.subset_size, "subsets": [list(s) for s in self.subsets]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SubsetDictionary":
-        return cls(
-            subset_size=int(data["subset_size"]),
-            subsets=tuple(tuple(int(v) for v in s) for s in data["subsets"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,6 @@ def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> De
 
 def bipartite_matrix(bip: BipartiteInstance) -> SparseMat:
     """Signed biadjacency matrix: entry (left, right) sums constraint signs."""
-    return SparseMat.from_entries(
-        len(bip.left_labels), bip.n_right,
-        ((left, right, float(s)) for left, right, s in bip.constraints),
-    )
+    rows = np.array(bip.constraints, dtype=np.int64).reshape(-1, 3)
+    return SparseMat.from_arrays(len(bip.left_labels), bip.n_right,
+                                 rows[:, 0], rows[:, 1], rows[:, 2])

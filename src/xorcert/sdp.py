@@ -1,4 +1,4 @@
-"""Dual diagonal certificates for the infinity-to-one norm, and 2-XOR refutation.
+"""Dual diagonal certificates for the infinity-to-one norm of the heavy side.
 
 For M of shape (a, b) and d = (d_left, d_right) with
 Z(d) = [[Diag(d_left), -M], [-M^T, Diag(d_right)]] >= -slack * I, every
@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import PartitionedInstance
 from .linalg import SparseMat, min_eig_check, psd_shift
-from .reduce import BipartiteInstance, bipartite_matrix
 
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -65,14 +63,13 @@ class DualCert:
         return cert
 
 
-def z_matrix(m: SparseMat, d: np.ndarray) -> SparseMat:
-    """Assemble Z(d) = [[Diag(dL), -M], [-M^T, Diag(dR)]] as a sparse matrix."""
-    a, b = m.rows, m.cols
-    nn = a + b
-    rows = np.concatenate([m.r, m.c + a, np.arange(nn)])
-    cols = np.concatenate([m.c + a, m.r, np.arange(nn)])
-    vals = np.concatenate([-m.v, -m.v, np.asarray(d, dtype=np.float64)])
-    return SparseMat.from_arrays(nn, nn, rows, cols, vals)
+def z_matrix(m: SparseMat, d: np.ndarray) -> np.ndarray:
+    """Assemble Z(d) = [[Diag(dL), -M], [-M^T, Diag(dR)]] as a dense array."""
+    a = m.rows
+    z = np.diag(np.asarray(d, dtype=np.float64))
+    z[m.r, m.c + a] = -m.v  # SparseMat entries are merged, so no index repeats
+    z[m.c + a, m.r] = -m.v
+    return z
 
 
 def _logdet(z: np.ndarray) -> float:
@@ -164,14 +161,12 @@ def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
 def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
     """Certified upper bound on the infinity-to-one norm with its dual certificate.
 
-    The candidates are d0 (the l1 row and column sums), the barrier optimum
-    on d0's support and d0 itself, the last two scaled onto the PSD boundary;
-    the smallest bound among those that pass the PSD check wins.  d0 makes
-    Z(d0) diagonally dominant, so it always passes.
+    The candidates are d0 (the l1 row and column sums) and the barrier
+    optimum on d0's support scaled onto the PSD boundary; the smaller bound
+    of those that pass the PSD check wins.  d0 makes Z(d0) diagonally
+    dominant, so it always passes, also when M is zero.
     """
     a, b = m.rows, m.cols
-    if m.nnz == 0:
-        return 0.0, DualCert(d_left=(0.0,) * a, d_right=(0.0,) * b, slack=0.0)
     d0 = np.concatenate([m.row_l1(), m.col_l1()])
     w = np.zeros((a + b, a + b))  # the dense dilation [[0, M], [M^T, 0]]
     w[:a, a:] = m.to_dense()
@@ -180,8 +175,7 @@ def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
     d_opt = np.zeros(a + b)
     if idx.size:
         d_opt[idx] = _barrier_solve(w[np.ix_(idx, idx)], d0[idx])
-    candidates = (d0, _scale_to_boundary(w, d_opt), _scale_to_boundary(w, d0))
-    certs = [_certify(m, d) for d in candidates]
+    certs = [_certify(m, d) for d in (d0, _scale_to_boundary(w, d_opt))]
     best = min((cert for cert in certs if cert is not None), key=DualCert.bound)
     return best.bound(), best
 
@@ -214,19 +208,6 @@ def inf1_lower_round(m: SparseMat, trials: int = 32, seed: int = 0):
     return best
 
 
-@dataclass(frozen=True)
-class TwoXorReport:
-    """Outcome of dual-certificate refutation of a 2-XOR side."""
-
-    status: str  # "SUCCESS" | "UNKNOWN"
-    m: int
-    rows: int
-    cols: int
-    bound: float
-    val_upper: float
-    dual: DualCert
-
-
 def two_xor_value(bound: float, eps: float, m: int) -> tuple[float, str]:
     """Value bound and status implied by an infinity-to-one bound on m constraints.
 
@@ -235,34 +216,3 @@ def two_xor_value(bound: float, eps: float, m: int) -> tuple[float, str]:
     val_upper = min(1.0, 0.5 + bound / (2.0 * m) + 1e-12)
     status = "SUCCESS" if bound <= 2.0 * eps * m else "UNKNOWN"
     return val_upper, status
-
-
-def two_xor_matrix(inst) -> SparseMat:
-    """Signed pair matrix whose infinity-to-one norm dominates the scaled bias."""
-    if isinstance(inst, BipartiteInstance):
-        return bipartite_matrix(inst)
-    if isinstance(inst, PartitionedInstance):
-        if inst.ell != 1:
-            raise ValueError("direct 2-XOR refutation requires ell == 1; decompose first")
-        table = inst.mu_tables()[0]
-        return SparseMat.from_entries(
-            inst.n, inst.n,
-            ((u, v, float(w)) for (u, v), w in sorted(table.items()) if w != 0),
-        )
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
-
-
-def refute_2xor(inst, eps: float) -> TwoXorReport:
-    """Refute an ell=1 or bipartite 2-XOR instance: SUCCESS iff bound <= 2*eps*m."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    m_count = inst.m
-    if m_count == 0:
-        raise ValueError("empty instance")
-    mat = two_xor_matrix(inst)
-    bound, cert = inf1_upper(mat)
-    val_upper, status = two_xor_value(bound, eps, m_count)
-    return TwoXorReport(
-        status=status, m=m_count, rows=mat.rows, cols=mat.cols,
-        bound=bound, val_upper=val_upper, dual=cert,
-    )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xorcert import Certificate, load_instance
+from xorcert import Certificate, KXorInstance, PartitionedInstance, load_instance, save_instance
 from xorcert.cli import CSV_HEADER, main
 
 
@@ -225,4 +225,41 @@ def test_malformed_instance_is_an_input_error(workdir, capsys, text):
     assert run("verify", "--inst", inst, "--cert", cert) == 2
     out, err = capsys.readouterr()
     assert "bad instance file" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("inst", [
+    PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, 1),) * 10 + ((0, 0, 1, -1),) * 10),
+    KXorInstance.make(n=4, k=3, constraints=[((0, 1, 2), 1)] * 10 + [((0, 1, 2), -1)] * 10),
+], ids=["p2xor", "kxor"])
+def test_verify_accepts_cancelled_heavy_side(workdir, inst):
+    # the heavy side's pair matrix sums to zero; its certificate must still verify
+    path = workdir / "inst.json"
+    cert = workdir / "cert.json"
+    save_instance(inst, path)
+    assert run("refute", "--in", path, "--eps", 0.45, "-o", cert) == 0
+    assert run("verify", "--inst", path, "--cert", cert) == 0
+
+
+NESTED_JSON = "[" * 200000 + "]" * 200000  # too deep for the json module's recursion
+
+
+@pytest.mark.parametrize("which", ["instance", "config", "certificate"])
+def test_deeply_nested_json_is_an_input_error(workdir, capsys, which):
+    inst = workdir / "inst.json"
+    cert = workdir / "cert.json"
+    nested = workdir / "nested.json"
+    nested.write_text(NESTED_JSON)
+    assert run("generate", "--kind", "p2xor", "--n", 8, "--m", 60,
+               "--seed", 0, "--ell", 1, "-o", inst) == 0
+    assert run("refute", "--in", inst, "--eps", 0.3, "-o", cert) in (0, 10)
+    capsys.readouterr()
+    if which == "instance":
+        assert run("refute", "--in", nested, "--eps", 0.3) == 2
+    elif which == "config":
+        assert run("refute", "--in", inst, "--eps", 0.3, "--config", nested) == 2
+    else:
+        assert run("verify", "--inst", inst, "--cert", nested) == 2
+    out, err = capsys.readouterr()
+    assert f"bad {which} file" in err
     assert "Traceback" not in out + err

@@ -25,8 +25,8 @@ def _random_sparse(rng, rows, cols, density=0.4):
 
 
 def test_sparsemat_merges_duplicates_and_drops_zeros():
-    m = SparseMat.from_entries(2, 3, [(0, 1, 2.0), (0, 1, -1.0), (1, 2, 3.0), (1, 0, 0.0),
-                                      (0, 2, 1.5), (0, 2, -1.5)])
+    m = SparseMat.from_arrays(2, 3, [0, 0, 1, 1, 0, 0], [1, 1, 2, 0, 2, 2],
+                              [2.0, -1.0, 3.0, 0.0, 1.5, -1.5])
     assert m.nnz == 2
     np.testing.assert_array_equal(m.to_dense(), [[0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
 
@@ -46,20 +46,14 @@ def test_sparsemat_matvec_matches_dense(rng):
 
 def test_sparsemat_validation():
     with pytest.raises(ValueError):
-        SparseMat.from_entries(2, 2, [(2, 0, 1.0)])  # row out of range
+        SparseMat.from_arrays(2, 2, [2], [0], [1.0])  # row out of range
     with pytest.raises(ValueError):
-        SparseMat.from_entries(2, 2, [(0, -1, 1.0)])
+        SparseMat.from_arrays(2, 2, [0], [-1], [1.0])
     with pytest.raises(ValueError):
-        SparseMat.from_entries(2, 2, [(0, 0, math.inf)])
+        SparseMat.from_arrays(2, 2, [0], [0], [math.inf])
     with pytest.raises(ValueError):
         SparseMat(rows=-1, cols=2, r=np.array([], dtype=np.int64),
                   c=np.array([], dtype=np.int64), v=np.array([]))
-
-
-def test_sparsemat_is_symmetric():
-    assert SparseMat.from_dense([[1.0, 2.0], [2.0, 0.0]]).is_symmetric()
-    assert not SparseMat.from_dense([[1.0, 2.0], [0.0, 0.0]]).is_symmetric()
-    assert not SparseMat.from_dense([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0]]).is_symmetric()
 
 
 def test_norm_bound_validation():
@@ -97,20 +91,36 @@ def test_spectral_norm_zero_and_empty():
 
 
 def test_min_eig_check():
-    eye = SparseMat.from_dense(np.eye(3))
+    eye = np.eye(3)
     assert min_eig_check(eye, slack=0.0)
-    indef = SparseMat.from_dense([[0.0, 2.0], [2.0, 0.0]])  # lambda_min = -2
+    indef = np.array([[0.0, 2.0], [2.0, 0.0]])  # lambda_min = -2
     assert min_eig_check(indef, slack=2.001)
     assert not min_eig_check(indef, slack=1.0)
     with pytest.raises(ValueError):
         min_eig_check(eye, slack=-1.0)
-    with pytest.raises(ValueError):
-        min_eig_check(SparseMat.from_dense([[0.0, 1.0], [0.0, 0.0]]), slack=0.0)
-    with pytest.raises(ValueError):
-        min_eig_check(SparseMat.from_dense(np.ones((2, 3))), slack=0.0)
 
 
-def _near_degenerate(seed: int) -> tuple[SparseMat, float]:
+@pytest.mark.parametrize("s", [
+    np.ones((2, 3)),
+    np.ones(3),
+    [[0.0, 1.0], [0.0, 0.0]],
+    [[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]],  # one ulp off symmetric
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["not-square", "vector", "asymmetric", "one-ulp-asymmetric", "nan", "inf"])
+def test_min_eig_check_requires_finite_symmetric_square(s):
+    with pytest.raises(ValueError):
+        min_eig_check(s, slack=0.0)
+
+
+def test_min_eig_check_leaves_its_input_alone():
+    s = np.array([[2.0, 1.0], [1.0, 2.0]])
+    before = s.copy()
+    assert min_eig_check(s, slack=0.5)
+    np.testing.assert_array_equal(s, before)
+
+
+def _near_degenerate(seed: int) -> tuple[np.ndarray, float]:
     """40x40 symmetric S with lambda_min = -1 and lambda_2 = -1 + gap, gap in [1e-6, 1e-4]."""
     gen = np.random.default_rng(seed)
     gap = 10.0 ** gen.uniform(-6.0, -4.0)
@@ -118,7 +128,7 @@ def _near_degenerate(seed: int) -> tuple[SparseMat, float]:
     q, _ = np.linalg.qr(gen.standard_normal((40, 40)))
     s = (q * lam) @ q.T
     s = (s + s.T) / 2.0
-    return SparseMat.from_dense(s), float(np.linalg.eigvalsh(s)[0])
+    return s, float(np.linalg.eigvalsh(s)[0])
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -68,6 +68,25 @@ def test_refute_partitioned_validation():
         refute_partitioned(PartitionedInstance(n=3, ell=1, constraints=()), eps=0.2)
 
 
+# heavy sides whose signed pair matrix cancels to zero: 10 copies of a pair
+# with each sign, all in one group at the cap of 20 for eps = 0.45
+CANCELLED_HEAVY = [
+    PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, 1),) * 10 + ((0, 0, 1, -1),) * 10),
+    KXorInstance.make(n=4, k=3, constraints=[((0, 1, 2), 1)] * 10 + [((0, 1, 2), -1)] * 10),
+]
+
+
+@pytest.mark.parametrize("inst", CANCELLED_HEAVY, ids=["p2xor", "kxor"])
+def test_zero_heavy_matrix_refutes_and_verifies(inst):
+    refute = refute_kxor if isinstance(inst, KXorInstance) else refute_partitioned
+    cert = refute(inst, eps=0.45)
+    heavy = cert.payload["heavy"]
+    assert heavy["mode"] == "sdp" and heavy["m"] == inst.m
+    assert 0.0 < heavy["report"]["bound"] < 1e-300
+    assert cert.outcome == REFUTED and cert.certified_val_upper == 0.5 + 1e-12
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
 def test_combination_case_heavy_small():
     # sparse duplicate-free-ish instance: nothing reaches the heavy cap
     inst = gen_random_partitioned(12, 3, 40, seed=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from helpers import decompose_reference, heavy_sub_instance, heavy_value_dominat
 from xorcert import (
     FAMILIES,
     GenSpec,
+    BipartiteInstance,
     KXorInstance,
     PartitionedInstance,
     SubsetDictionary,
@@ -77,9 +79,15 @@ def test_subset_dictionary_validation():
         d.index_of((0, 2))
 
 
-def test_subset_dictionary_json_round_trip():
-    d = SubsetDictionary(subset_size=2, subsets=((0, 1), (1, 4)))
-    assert SubsetDictionary.from_json_dict(d.to_json_dict()) == d
+def test_bipartite_matrix_sums_signs():
+    # repeated rows add up, opposite signs cancel, and a cancelled entry is dropped
+    bip = BipartiteInstance(left_labels=((0, 0), (1, 2)), n_right=4, constraints=(
+        (0, 1, 1), (0, 1, 1), (1, 3, -1), (1, 2, 1), (1, 2, -1)))
+    mat = bipartite_matrix(bip)
+    assert (mat.rows, mat.cols, mat.nnz) == (2, 4, 2)
+    np.testing.assert_array_equal(mat.to_dense(), [[0, 2, 0, 0], [0, 0, 0, -1]])
+    empty = bipartite_matrix(BipartiteInstance(left_labels=(), n_right=3, constraints=()))
+    assert (empty.rows, empty.cols, empty.nnz) == (0, 3, 0)
 
 
 def _heavy_multiset(dec):

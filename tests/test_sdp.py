@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from xorcert import (
+    REFUTED,
+    UNKNOWN,
     DualCert,
     KG_UPPER,
     PartitionedInstance,
@@ -13,8 +15,8 @@ from xorcert import (
     inf1_lower_round,
     inf1_upper,
     min_eig_check,
-    refute_2xor,
-    two_xor_matrix,
+    refute_partitioned,
+    verify_certificate_detailed,
     z_matrix,
 )
 from xorcert.sdp import _certify
@@ -23,7 +25,7 @@ from xorcert.sdp import _certify
 def test_z_matrix_assembly():
     m = SparseMat.from_dense([[1.0, -2.0], [0.0, 3.0]])
     d = np.array([4.0, 5.0, 6.0, 7.0])
-    z = z_matrix(m, d).to_dense()
+    z = z_matrix(m, d)
     expect = np.array([
         [4.0, 0.0, -1.0, 2.0],
         [0.0, 5.0, 0.0, -3.0],
@@ -74,9 +76,12 @@ def test_inf1_upper_sandwich(seed):
 
 
 def test_inf1_upper_zero_matrix():
+    # d = 0 with a subnormal slack: the dual the verifier's PSD check accepts
     m = SparseMat.from_dense(np.zeros((2, 3)))
     bound, cert = inf1_upper(m)
-    assert bound == 0.0 and cert.slack == 0.0
+    assert 0.0 < bound < 1e-300 and bound == cert.bound()
+    d = np.array(cert.d_left + cert.d_right)
+    assert min_eig_check(z_matrix(m, d), cert.slack)
     assert inf1_lower_round(m)[0] == 0.0
 
 
@@ -123,41 +128,22 @@ def test_d0_certifies_at_2000_dims():
     assert 0.0 < cert.slack <= 1e-10 * float(d0.sum())
 
 
-def test_two_xor_matrix_dispatch():
-    inst = PartitionedInstance(n=4, ell=1, constraints=((0, 0, 1, 1), (0, 0, 1, 1), (0, 2, 3, -1)))
-    mat = two_xor_matrix(inst)
-    dense = mat.to_dense()
-    assert dense[0, 1] == 2.0 and dense[2, 3] == -1.0  # signed multiplicities
-    multi = PartitionedInstance(n=4, ell=2, constraints=((1, 0, 1, 1),))
-    with pytest.raises(ValueError):
-        two_xor_matrix(multi)
-    with pytest.raises(TypeError):
-        two_xor_matrix("nope")
-
-
 def test_refute_2xor_random_succeeds():
+    # nearly every constraint goes heavy, so the dual alone refutes
     inst = gen_random_partitioned(30, 1, 4000, seed=1)
-    rep = refute_2xor(inst, eps=0.4)
-    assert rep.status == "SUCCESS"
-    assert rep.bound <= 2 * 0.4 * inst.m
-    assert rep.val_upper <= 0.9 + 1e-9
-    assert rep.m == inst.m
+    cert = refute_partitioned(inst, eps=0.4)
+    heavy = cert.payload["heavy"]
+    assert heavy["m"] > 0.99 * inst.m and heavy["report"]["status"] == "SUCCESS"
+    assert heavy["report"]["bound"] <= 2 * 0.2 * heavy["m"]
+    assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.9
+    assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_refute_2xor_satisfiable_stays_unknown():
     # a perfectly satisfiable instance can never be refuted below val 1
-    rows = [(0, 0, 1, 1)] * 12
-    inst = PartitionedInstance(n=2, ell=1, constraints=tuple(rows))
-    rep = refute_2xor(inst, eps=0.3)
-    assert rep.status == "UNKNOWN"
-    assert rep.val_upper >= 1.0 - 1e-9
-
-
-def test_refute_2xor_validation():
-    inst = gen_random_partitioned(6, 1, 10, seed=0)
-    with pytest.raises(ValueError):
-        refute_2xor(inst, eps=0.0)
-    with pytest.raises(ValueError):
-        refute_2xor(inst, eps=0.5)
-    with pytest.raises(ValueError):
-        refute_2xor(PartitionedInstance(n=2, ell=1, constraints=()), eps=0.2)
+    inst = PartitionedInstance(n=2, ell=1, constraints=((0, 0, 1, 1),) * 200)
+    cert = refute_partitioned(inst, eps=0.3)
+    heavy = cert.payload["heavy"]
+    assert heavy["m"] == inst.m and heavy["report"]["status"] == "UNKNOWN"
+    assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0
+    assert verify_certificate_detailed(cert, inst) == (True, [])
