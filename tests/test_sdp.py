@@ -147,3 +147,15 @@ def test_refute_2xor_satisfiable_stays_unknown():
     assert heavy["m"] == inst.m and heavy["report"]["status"] == "UNKNOWN"
     assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0
     assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def test_refute_2xor_validation():
+    # the 2-XOR (ell = 1) entry to the heavy-side refutation rejects bad eps
+    # and empty instances before building any matrix
+    inst = gen_random_partitioned(6, 1, 10, seed=0)
+    with pytest.raises(ValueError):
+        refute_partitioned(inst, eps=0.0)
+    with pytest.raises(ValueError):
+        refute_partitioned(inst, eps=0.5)
+    with pytest.raises(ValueError):
+        refute_partitioned(PartitionedInstance(n=2, ell=1, constraints=()), eps=0.2)
