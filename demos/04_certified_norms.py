@@ -13,19 +13,22 @@ dense[rng.random((40, 25)) > 0.15] = 0.0
 m = SparseMat.from_dense(dense)
 print("matrix:", m.rows, "x", m.cols, "with", len(m.v), "entries")
 
-# spectral_norm returns a certified sandwich [lower, upper] around sigma_max.
-# The lower bound is a Rayleigh quotient at an explicit vector; the upper bound
-# is a residual-corrected power-iteration estimate (or an l1 fallback), so both
-# sides hold without trusting the iteration converged.
+# spectral_norm returns a sandwich [lower, upper] around sigma_max.  The lower
+# bound is a Rayleigh quotient at an explicit vector.  This matrix's dilation
+# [[0, M], [M^T, 0]] has 65 rows, under the dense cap of 1024, so the upper
+# bound u comes from one dense SVD, padded and rounded up, and stands only
+# because min_eig_check (below) proves uI - [[0, M], [M^T, 0]] PSD.  Blocks
+# above the cap use a residual-corrected power-iteration estimate instead.
 nb = spectral_norm(m)
+assert nb.method == "dense-cholesky"
 sigma = float(np.linalg.svd(dense, compute_uv=False)[0])
 print(f"certified: [{nb.lower:.6f}, {nb.upper:.6f}]  ({nb.method})")
 print(f"LAPACK svd: {sigma:.6f}")
 assert nb.lower <= sigma <= nb.upper
 assert nb.upper - nb.lower <= 1e-5 * max(1.0, sigma)
 
-# The l1 bound sqrt(max row sum * max col sum) needs no iteration at all and
-# is what the upper bound falls back to when iteration stalls.
+# The l1 bound max(max row sum, max col sum) needs no solve at all and is
+# what the upper bound falls back to when the Cholesky check fails.
 print("l1 bound:", round(l1_norm_bound(m), 6))
 assert l1_norm_bound(m) >= sigma
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xorcert.linalg
 from xorcert import (
     NormBound,
     SparseMat,
@@ -88,6 +89,53 @@ def test_spectral_norm_zero_and_empty():
     assert nb.lower == nb.upper == 0.0 and nb.method == "exact-small"
     empty = SparseMat.from_arrays(0, 4, [], [], [])
     assert spectral_norm(empty).upper == 0.0
+
+
+def _near_degenerate_top(seed: int) -> np.ndarray:
+    """40x40 (Q1 diag(s)) Q2^T with s_1 = 1 and s_2 = 1 - gap, gap in [1e-6, 1e-4]."""
+    gen = np.random.default_rng(seed)
+    gap = 10.0 ** gen.uniform(-6.0, -4.0)
+    s = np.concatenate([[1.0, 1.0 - gap], gen.uniform(0.0, 0.9, 38)])
+    q1, _ = np.linalg.qr(gen.standard_normal((40, 40)))
+    q2, _ = np.linalg.qr(gen.standard_normal((40, 40)))
+    return (q1 * s) @ q2.T
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_spectral_norm_near_degenerate_top(seed):
+    # power iteration stalls between two nearly equal singular values, and
+    # its residual bound then lands within reach of sigma_2, below sigma_1
+    a = _near_degenerate_top(seed)
+    sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+    nb = spectral_norm(SparseMat.from_dense(a))
+    assert nb.lower <= sigma <= nb.upper
+    assert nb.method == "dense-cholesky"
+
+
+@pytest.mark.parametrize("shape", [(1025, 1025), (513, 512)], ids=["symmetric", "rectangular"])
+def test_spectral_norm_power_path_above_the_cap(shape):
+    gen = np.random.default_rng(3)
+    rows, cols = shape
+    a = _random_sparse(gen, rows, cols, density=0.005)
+    a[0, :40] += 3.0  # a clear top singular value, so the iteration converges
+    if rows == cols:
+        a = a + a.T
+    nb = spectral_norm(SparseMat.from_dense(a))
+    sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert nb.method == "power-iteration-residual"
+    assert nb.lower <= sigma <= nb.upper
+    assert nb.upper - nb.lower <= 1e-6 * sigma
+
+
+def test_spectral_norm_falls_back_to_l1_when_the_check_fails(monkeypatch):
+    monkeypatch.setattr(xorcert.linalg, "min_eig_check", lambda s, slack: False)
+    for a in ([[1.0, 2.0], [2.0, -1.0]], [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]):
+        m = SparseMat.from_dense(a)
+        nb = spectral_norm(m)
+        sigma = float(np.linalg.svd(np.asarray(a), compute_uv=False)[0])
+        assert nb.method == "schur-l1"
+        assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
+        assert nb.lower <= sigma
 
 
 def test_min_eig_check():

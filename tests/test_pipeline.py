@@ -379,27 +379,61 @@ def test_heavy_side_runs_no_power_iteration(monkeypatch):
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
+def test_light_side_below_the_dense_cap_runs_no_power_iteration(monkeypatch):
+    inst = gen_kxor(GenSpec(kind="random", n=20, m=1200, seed=1, k=3))
+
+    def iterate(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(xorcert.linalg, "_power_squared_run", iterate)
+    cert = refute_kxor(inst, eps=0.3)
+    assert cert.payload["light"]["mode"] == "spectral"
+    assert cert.payload["light"]["report"]["blocks"]
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def test_presentation_does_not_drop_a_block_to_its_l1_bound():
+    # heavy-group 3-XOR under one gauge and clause order: power iteration
+    # stopped early on stagnation there, the block fell back to its l1 bound
+    # (61.10 instead of 8.669) and the outcome was UNKNOWN at 0.8343
+    base = gen_kxor(GenSpec(kind="heavy-group", n=20, m=1500, seed=1, k=3,
+                            params={"group_size": 500}))
+    clauses = np.asarray(base.clauses, dtype=np.int64)
+    rng = np.random.default_rng([5, 2, 2])
+    gauge = rng.choice(np.array([-1, 1]), size=base.n)
+    signs = np.asarray(base.signs, dtype=np.int64) * gauge[clauses].prod(axis=1)
+    order = rng.permutation(base.m)
+    inst = KXorInstance(n=base.n, k=3,
+                        clauses=tuple(tuple(int(v) for v in clauses[i]) for i in order),
+                        signs=tuple(int(s) for s in signs[order]))
+    cert = refute_kxor(inst, eps=0.3)
+    assert cert.outcome == REFUTED
+    assert cert.certified_val_upper < 0.66
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
 _REFUTE_TO_STDOUT = (
     "import sys\n"
     "from xorcert import GenSpec, gen_kxor, refute_kxor\n"
-    "inst = gen_kxor(GenSpec(kind='random', n=20, m=6000, seed=1, k=3))\n"
-    "sys.stdout.write(refute_kxor(inst, eps=0.4).to_json())\n"
+    "inst = gen_kxor(GenSpec(kind='random', n=20, m={m}, seed=1, k=3))\n"
+    "sys.stdout.write(refute_kxor(inst, eps={eps}).to_json())\n"
 )
 
 
 def test_certificate_bytes_independent_of_blas_threads():
-    # the dual is rounded onto a binary grid, so the last digits that the
-    # BLAS thread count changes in the SDP solve never reach the certificate
+    # the dual and the dense norm uppers are rounded onto binary grids, so
+    # the last digits that the BLAS thread count changes never reach them
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", _REFUTE_TO_STDOUT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append(proc.stdout)
-    assert json.loads(outputs[0])["heavy"]["mode"] == "sdp"
-    assert outputs[0] == outputs[1]
+    for m, eps, side, mode in ((6000, 0.4, "heavy", "sdp"), (1200, 0.3, "light", "spectral")):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", _REFUTE_TO_STDOUT.format(m=m, eps=eps)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append(proc.stdout)
+        assert json.loads(outputs[0])[side]["mode"] == mode
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("path", [
