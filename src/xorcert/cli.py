@@ -214,6 +214,8 @@ def cmd_experiment(args) -> int:
         raise CliError("k-XOR families require --k")
     if "p2xor" in families and args.ell is None:
         raise CliError("family p2xor requires --ell")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
 
     items = []
     cell_index = 0
@@ -229,8 +231,10 @@ def cmd_experiment(args) -> int:
                     cell_index += 1
 
     log.info("experiment: %d runs over %d cells", len(items), cell_index)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool starts all its workers at once, so start no idle ones
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_experiment_cell, items))
     else:
         rows = [_experiment_cell(item) for item in items]

@@ -9,7 +9,9 @@ column l1 bound (Gershgorin applied to the symmetric dilation) is sound at
 every size.  Above the cap the upper is a power-iteration Rayleigh quotient
 plus its residual norm, which bounds the distance to *some* eigenvalue, not
 to the largest, so it is not yet sound when the top singular values nearly
-coincide.
+coincide.  The iteration needs only the products M x and M^T y, which a
+caller may supply in factored form (the light side's blocks apply them
+through the Kronecker factors of the pair matrix).
 """
 from __future__ import annotations
 
@@ -123,12 +125,12 @@ def l1_norm_bound(m: SparseMat) -> float:
     return float(max(m.row_l1().max(), m.col_l1().max()))
 
 
-def _dilation_apply(m: SparseMat, w: np.ndarray) -> np.ndarray:
+def _dilation_apply(op, w: np.ndarray) -> np.ndarray:
     # symmetric dilation [[0, M], [M^T, 0]] applied to [top; bottom]
-    return np.concatenate([m.matvec(w[m.rows:]), m.rmatvec(w[: m.rows])])
+    return np.concatenate([op.matvec(w[op.rows:]), op.rmatvec(w[: op.rows])])
 
 
-def _aligned_candidate(m: SparseMat, w: np.ndarray) -> tuple[float, float]:
+def _aligned_candidate(op, w: np.ndarray) -> tuple[float, float]:
     """(|rho|, residual) of the dilation at w after sign alignment.
 
     The dilation spectrum is symmetric (+/- each singular value), so a power
@@ -137,7 +139,7 @@ def _aligned_candidate(m: SparseMat, w: np.ndarray) -> tuple[float, float]:
     residual of +|rho|, so |rho| + residual upper-bounds the norm whenever w
     overlaps the top eigenspace.
     """
-    u = _dilation_apply(m, w)
+    u = _dilation_apply(op, w)
     s = float(np.linalg.norm(u))
     aligned = s * w + u
     norm = float(np.linalg.norm(aligned))
@@ -147,13 +149,13 @@ def _aligned_candidate(m: SparseMat, w: np.ndarray) -> tuple[float, float]:
     if norm == 0.0:
         return 0.0, 0.0
     aligned /= norm
-    u2 = _dilation_apply(m, aligned)
+    u2 = _dilation_apply(op, aligned)
     rho = float(aligned @ u2)
     res = float(np.linalg.norm(u2 - rho * aligned))
     return abs(rho), res
 
 
-def _power_squared_run(m: SparseMat, w0: np.ndarray, max_iter: int, tol: float):
+def _power_squared_run(op, w0: np.ndarray, max_iter: int, tol: float):
     """Iterate w <- D^2 w / ||.||; returns (s_best, w) or None if w hit the kernel.
 
     Iterating the squared dilation avoids the sign oscillation of the
@@ -165,7 +167,7 @@ def _power_squared_run(m: SparseMat, w0: np.ndarray, max_iter: int, tol: float):
     s_best = 0.0
     prev = -1.0
     for it in range(1, max_iter + 1):
-        u = _dilation_apply(m, _dilation_apply(m, w))
+        u = _dilation_apply(op, _dilation_apply(op, w))
         q = float(np.linalg.norm(u))
         if q == 0.0:
             return None
@@ -175,7 +177,7 @@ def _power_squared_run(m: SparseMat, w0: np.ndarray, max_iter: int, tol: float):
             break
         prev = q
         if it % 25 == 0:
-            rho_abs, res = _aligned_candidate(m, w)
+            rho_abs, res = _aligned_candidate(op, w)
             if rho_abs + res - s_best <= tol * max(1.0, s_best):
                 break
     return s_best, w
@@ -216,7 +218,7 @@ def _dense_norm(a: np.ndarray, symmetric: bool) -> tuple[float, float | None]:
 
 
 def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
-                  restart_seed: int = 0x5EED) -> NormBound:
+                  restart_seed: int = 0x5EED, op=None) -> NormBound:
     """Two-sided spectral norm bound, upper = min(l1 bound, u).
 
     If M is exactly symmetric with at most ``_DENSE_CAP`` rows, or its
@@ -226,10 +228,14 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     squared dilation from a deterministic all-ones start plus one seeded
     random restart (tol, max_iter and restart_seed steer only this path), and
     u = |rho| + residual at the aligned final iterate, which is not yet sound
-    when the top singular values nearly coincide.  The lower bound is the
-    largest |entry| or the Rayleigh quotient of the top vector, less a
-    rounding guard.
+    when the top singular values nearly coincide.  The iteration takes its
+    products M x and M^T y from op (default m itself): any object with
+    ``rows``, ``matvec`` and ``rmatvec`` that agree with m, such as a
+    light-side ``Block``, which applies them through Kronecker factors.  The
+    lower bound is the largest |entry| or the Rayleigh quotient of the top
+    vector, less a rounding guard.
     """
+    op = m if op is None else op
     l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
     if m.nnz == 0:
         return NormBound(0.0, 0.0, "exact-small")
@@ -247,7 +253,7 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
 
     best = None  # (s, w)
     for w0 in starts:
-        out = _power_squared_run(m, w0, max_iter, tol)
+        out = _power_squared_run(op, w0, max_iter, tol)
         if out is None:
             continue
         s, w = out
@@ -258,7 +264,7 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
         # both starts landed exactly in the kernel; fall back to the l1 bound
         return _sandwich(lower, None, l1, "schur-l1")
 
-    rho_abs, res = _aligned_candidate(m, best[1])
+    rho_abs, res = _aligned_candidate(op, best[1])
     lower = max(lower, rho_abs)
     cand = (rho_abs + res) * (1.0 + _ROUND_GUARD)
     # a candidate below the lower bound means alignment failed

@@ -13,11 +13,15 @@ vertex pairs: with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i),
 an exact identity (entries of M pair distinct constraint pairs only; the
 diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
+Each block is built explicitly, which gives its nnz, l1 bound and dense
+norm path; power iteration on a block above the dense cap takes its
+products from M's Kronecker factors (``PairFactors``) instead.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,15 +117,85 @@ def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: in
     )
 
 
+class PairFactors:
+    """The canonical pair matrix in Kronecker form, for products with its blocks.
+
+    With A_i the symmetric n x n table of part i's mu (A_i[u, v] = A_i[v, u]
+    = mu_i({u, v})), s_i = 1/sqrt(t_i) and A2 = sum_i s_i A_i o A_i,
+
+        M = sum_i s_i (A_i (x) A_i - D_i),
+
+    where D_i holds the e = f terms: edge {u, v} sends X[v, u] to pair (u, v)
+    and X[v, v] to pair (u, u).  So for x = vec(X) on pairs v * n + v',
+
+        M x = vec(sum_i s_i A_i X A_i - A2 o X^T - Diag(A2 diag(X))),
+
+    with no diagonal in A_i.  A product costs O(ell n^3) flops against the
+    4 sum_i t_i^2 entries of the explicit matrix.  Parts with fewer than two
+    edges contribute nothing and are left out, as in ``_accumulate_blocks``.
+    The dense factors are built on the first product, so light sides whose
+    blocks all take the dense norm path never build them.
+    """
+
+    def __init__(self, n: int, parts: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]):
+        self.n = n
+        self._parts = parts  # (s_i, eu, ev, ew) per part with at least two edges
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, ell = self.n, len(self._parts)
+        tables = np.zeros((ell, n, n))
+        scales = np.empty(ell)
+        for i, (scale, eu, ev, ew) in enumerate(self._parts):
+            tables[i, eu, ev] = ew
+            tables[i, ev, eu] = ew
+            scales[i] = scale
+        # [A_1 ... A_ell] and [s_1 A_1 ... s_ell A_ell], n x (ell n) each
+        wide = tables.transpose(1, 0, 2).reshape(n, ell * n)
+        scaled = (tables * scales[:, None, None]).transpose(1, 0, 2).reshape(n, ell * n)
+        a2 = np.einsum("i,ipq->pq", scales, tables * tables)
+        return wide, scaled, a2
+
+    def apply(self, x: np.ndarray, in_pairs: np.ndarray, out_pairs: np.ndarray) -> np.ndarray:
+        """(M z)[out_pairs], where z is x on the pairs in_pairs and zero elsewhere."""
+        n, ell = self.n, len(self._parts)
+        wide, scaled, a2 = self._factors
+        flat = np.zeros(n * n)
+        flat[in_pairs] = x
+        xm = flat.reshape(n, n)
+        # rows i*n .. i*n+n-1 of the stack hold X A_i
+        stack = (xm @ wide).reshape(n, ell, n).transpose(1, 0, 2).reshape(ell * n, n)
+        y = scaled @ stack
+        y -= a2 * xm.T
+        y[np.diag_indices(n)] -= a2 @ np.diagonal(xm)
+        return y.ravel()[out_pairs]
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One weight-class block of the canonical pair matrix, on its support."""
+    """One weight-class block of the canonical pair matrix, on its support.
+
+    ``mat`` holds the block explicitly; ``matvec`` and ``rmatvec`` give the
+    same products through the light side's shared ``factors`` (the pair
+    matrix is symmetric, so the transpose swaps the supports).
+    """
 
     j: int
     k: int
     mat: SparseMat
     row_pairs: np.ndarray  # flat encodings v * n + v' of the ordered row pairs
     col_pairs: np.ndarray
+    factors: PairFactors
+
+    @property
+    def rows(self) -> int:
+        return self.mat.rows
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.factors.apply(x, self.col_pairs, self.row_pairs)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.factors.apply(y, self.row_pairs, self.col_pairs)
 
 
 def _kept_mu(inst: PartitionedInstance, profile: DegreeProfile) -> list[dict]:
@@ -142,12 +216,14 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
     n = profile.n
     cmat = partition.class_matrix()
     acc: dict[tuple[int, int], list[np.ndarray]] = {}
+    parts = []
     for t, table in zip(profile.t, mu):
         eu, ev, ew = _part_edge_arrays(table)
         count = len(ew)
         if count < 2:
             continue  # entries need two distinct edges in the part
         scale = 1.0 / math.sqrt(t)
+        parts.append((scale, eu, ev, ew))
         ee, ff = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
         off = ee != ff
         ee, ff = ee[off], ff[off]
@@ -166,6 +242,7 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
                     key = (int(code) // (partition.levels + 1), int(code) % (partition.levels + 1))
                     acc.setdefault(key, []).append(
                         np.stack([rows[sel], cols[sel], vals[sel]]))
+    factors = PairFactors(n, parts)
     blocks: dict[tuple[int, int], Block] = {}
     for key in sorted(acc):
         stacked = np.concatenate(acc[key], axis=1)
@@ -175,7 +252,8 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
         mat = SparseMat.from_arrays(len(row_pairs), len(col_pairs), row_idx, col_idx, vals)
         if mat.nnz == 0:
             continue  # all entries cancelled
-        blocks[key] = Block(j=key[0], k=key[1], mat=mat, row_pairs=row_pairs, col_pairs=col_pairs)
+        blocks[key] = Block(j=key[0], k=key[1], mat=mat, row_pairs=row_pairs,
+                            col_pairs=col_pairs, factors=factors)
     return blocks
 
 
@@ -346,7 +424,8 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         j, k = key
         size_j = partition.sizes[j]
         size_k = partition.sizes[k]
-        nb = spectral_norm(block.mat, tol=config.norm_tol, max_iter=config.norm_max_iter)
+        nb = spectral_norm(block.mat, tol=config.norm_tol, max_iter=config.norm_max_iter,
+                           op=block)
         contribution = block_contribution(size_j, size_k, nb.upper)
         sigma2 = block_variance_bound(partition, j, k)
         r_bound = block_r_bound(partition, j, k, d_used)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import xorcert.cli
 from xorcert import Certificate, KXorInstance, PartitionedInstance, load_instance, save_instance
 from xorcert.cli import CSV_HEADER, main
 
@@ -172,6 +173,45 @@ def test_experiment_jobs_matches_serial(workdir):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
     assert strip_wall(serial) == strip_wall(parallel)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap ProcessPoolExecutor for a serial stand-in; the list of max_workers it got."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(xorcert.cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs,seeds,workers", [(8, 3, [3]), (2, 3, [2]), (4, 1, []), (1, 3, [])])
+def test_experiment_starts_no_more_workers_than_runs(workdir, pool_sizes, jobs, seeds, workers):
+    out = workdir / "grid.csv"
+    assert run("experiment", "--families", "p2xor", "--n", 8, "--m", 40, "--eps", 0.3,
+               "--ell", 2, "--seeds", seeds, "--jobs", jobs, "-o", out) == 0
+    assert pool_sizes == workers
+    assert len(out.read_text().splitlines()) == 1 + seeds
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_experiment_rejects_jobs_below_one(workdir, pool_sizes, capsys, jobs):
+    assert run("experiment", "--families", "p2xor", "--n", 8, "--m", 40, "--eps", 0.3,
+               "--ell", 2, "--jobs", jobs, "-o", workdir / "grid.csv") == 2
+    assert pool_sizes == []
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_experiment_validation(workdir):

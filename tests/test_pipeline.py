@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import xorcert.linalg
 import xorcert.pipeline
 import xorcert.sdp
+import xorcert.spectral
 from xorcert import (
     Certificate,
     GenSpec,
@@ -390,6 +391,33 @@ def test_light_side_below_the_dense_cap_runs_no_power_iteration(monkeypatch):
     assert cert.payload["light"]["mode"] == "spectral"
     assert cert.payload["light"]["report"]["blocks"]
     assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def test_light_side_above_the_dense_cap_runs_through_the_factors(monkeypatch):
+    # one 6230-row light block (4-XOR, ell = 1), past the dense cap: refute and
+    # verify take every product from the Kronecker factors, none from the COO
+    inst = gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))
+    seen = []
+    spectral_norm = xorcert.spectral.spectral_norm
+
+    def record(m, *args, **kwargs):
+        seen.append(m)
+        return spectral_norm(m, *args, **kwargs)
+
+    def explicit(self, x):
+        raise AssertionError("explicit block product")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xorcert.spectral, "spectral_norm", record)
+        patch.setattr(xorcert.linalg.SparseMat, "matvec", explicit)
+        patch.setattr(xorcert.linalg.SparseMat, "rmatvec", explicit)
+        cert = refute_kxor(inst, eps=0.4)
+        assert verify_certificate_detailed(cert, inst) == (True, [])
+    (block,) = cert.payload["light"]["report"]["blocks"]
+    assert len(seen) == 2 and seen[0].rows > xorcert.linalg._DENSE_CAP
+    nb = spectral_norm(seen[0])
+    assert nb.method == "power-iteration-residual"
+    assert block["norm_upper"] == pytest.approx(nb.upper, rel=1e-12)
 
 
 def test_presentation_does_not_drop_a_block_to_its_l1_bound():

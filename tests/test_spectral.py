@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dupfree_partitioned
 from helpers import (build_block, build_part_block, empirical_variance_norm, phi1_direct,
@@ -130,6 +132,59 @@ def test_phi_identities(seed):
         assert phi == pytest.approx(phi1_direct(inst, x) + phi2_term(profile), rel=1e-12)
         assert phi1_from_blocks(blocks, x, c0, 8) == pytest.approx(
             phi1_direct(inst, x), rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _small_partitioned(draw):
+    # few vertices and parts, so duplicates, cancelling pairs (mu = 0) and
+    # parts with a single edge all come up
+    n = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    rows = draw(st.lists(st.tuples(st.integers(0, ell - 1), pair, st.sampled_from([-1, 1])),
+                         min_size=1, max_size=40))
+    return PartitionedInstance.make(n, ell, [(p, u, v, s) for p, (u, v), s in rows])
+
+
+# two parts of size 5: {1, 3} cancels to mu = 0 in part 0, {2, 3} doubles in
+# part 1, and the entries of row pair (0, 0) cancel across the two parts
+_CANCELLING = PartitionedInstance(n=4, ell=2, constraints=(
+    (0, 0, 1, 1), (0, 0, 2, 1), (0, 2, 3, 1), (0, 1, 3, 1), (0, 1, 3, -1),
+    (1, 0, 1, 1), (1, 0, 2, -1), (1, 2, 3, 1), (1, 2, 3, 1), (1, 1, 2, 1),
+))
+_ONE_EDGE_PART = PartitionedInstance(n=5, ell=3, constraints=(
+    (0, 0, 1, 1), (0, 1, 2, -1), (0, 2, 4, 1), (1, 3, 4, -1), (2, 0, 4, 1), (2, 1, 3, 1),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_partitioned(), st.sampled_from([None, 1e-4, 1e-5, 1e-6]),
+       st.integers(0, 2 ** 32 - 1))
+@example(_CANCELLING, None, 0)
+@example(_ONE_EDGE_PART, None, 1)
+@example(gen_random_partitioned(6, 1, 20, seed=2), 1e-5, 2)  # ell = 1: blocks (0,1), (1,0), (1,1)
+@example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5, 3)  # four blocks, 36 x 26 off-diagonal
+def test_block_apply_matches_explicit_block(inst, alpha_c, seed):
+    # alpha_c None: one clamped (0, 0) block; else unclamped heavy classes,
+    # whose off-diagonal blocks have different row and column supports
+    profile = degree_profile(inst)
+    if alpha_c is None:
+        partition = _all_s0(inst.n)
+    else:
+        partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
+                                   m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
+    gen = np.random.default_rng(seed)
+    for block in build_blocks(inst, partition, profile).values():
+        absmat = np.abs(block.mat.to_dense())
+        x = gen.uniform(-1.0, 1.0, block.mat.cols)
+        y = gen.uniform(-1.0, 1.0, block.mat.rows)
+        # each row within 1e-12 of its abs-sum; entries that cancel across
+        # parts leave rounding the abs-sum does not see, covered by the floor
+        floor = 1e-14 * max(absmat.sum(axis=1).max(), absmat.sum(axis=0).max())
+        assert np.all(np.abs(block.matvec(x) - block.mat.matvec(x))
+                      <= 1e-12 * absmat.sum(axis=1) + floor)
+        assert np.all(np.abs(block.rmatvec(y) - block.mat.rmatvec(y))
+                      <= 1e-12 * absmat.sum(axis=0) + floor)
 
 
 def test_dup_correction_signs():
