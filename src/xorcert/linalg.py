@@ -228,7 +228,9 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     squared dilation from a deterministic all-ones start plus one seeded
     random restart (tol, max_iter and restart_seed steer only this path), and
     u = |rho| + residual at the aligned final iterate, which is not yet sound
-    when the top singular values nearly coincide.  The iteration takes its
+    when the top singular values nearly coincide; this path rounds u up and
+    the lower bound down onto a grid 2^-24 below the lower bound, so that
+    their bytes do not follow the BLAS thread count.  The iteration takes its
     products M x and M^T y from op (default m itself): any object with
     ``rows``, ``matvec`` and ``rmatvec`` that agree with m, such as a
     light-side ``Block``, which applies them through Kronecker factors.  The
@@ -267,8 +269,16 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     rho_abs, res = _aligned_candidate(op, best[1])
     lower = max(lower, rho_abs)
     cand = (rho_abs + res) * (1.0 + _ROUND_GUARD)
-    # a candidate below the lower bound means alignment failed
-    return _sandwich(lower, cand if cand >= lower else None, l1, "power-iteration-residual")
+    if cand < lower:
+        cand = None  # alignment failed
+    # round outward onto a grid 2^-24 below the lower bound: the iterates'
+    # norms, dot products and factored products are BLAS calls whose order
+    # of summation, and so whose last digits, follow the thread count
+    q = 2.0 ** (math.frexp(lower)[1] - 24)
+    lower = math.floor(lower / q) * q
+    if cand is not None:
+        cand = math.ceil(cand / q) * q
+    return _sandwich(lower, cand, l1, "power-iteration-residual")
 
 
 def _sandwich(lower: float, u: float | None, l1: float, method: str) -> NormBound:

@@ -14,8 +14,10 @@ an exact identity (entries of M pair distinct constraint pairs only; the
 diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
 Each block is built explicitly, which gives its nnz, l1 bound and dense
-norm path; power iteration on a block above the dense cap takes its
-products from M's Kronecker factors (``PairFactors``) instead.
+norm path.  Power iteration on a block above the dense cap takes its
+products from M's Kronecker factors (``PairFactors``) when they cost less
+than the block's entries, which holds for few parts with many edges each
+(4 sum_i t_i^2 >> ell n^3), and from the explicit block otherwise.
 """
 from __future__ import annotations
 
@@ -28,6 +30,16 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import DegreeProfile, PartitionedInstance, degree_profile
 from .linalg import SparseMat, bernstein_threshold, spectral_norm
+
+# power iteration takes a block's products from the factors when one product
+# there costs at most this many multiply-adds per entry of the explicit
+# block.  On one thread of a 2-core VM a COO entry costs 8-12 ns per product
+# and a gemm multiply-add 0.08-0.16 ns, so the two break even near 80.
+# light4's block needs 4 per entry (0.16 ms against 2.0 ms per product);
+# 3-XOR n = 100, m = 1000 needs 1900 (12 ms against 0.5 ms).  Within the
+# rule the factors' arrays, ell n^2 floats each with n^2 > 512 above the
+# cap, also hold fewer numbers than the block.
+_FACTOR_MADDS_PER_NNZ = 32
 
 
 @dataclass(frozen=True)
@@ -130,16 +142,22 @@ class PairFactors:
 
         M x = vec(sum_i s_i A_i X A_i - A2 o X^T - Diag(A2 diag(X))),
 
-    with no diagonal in A_i.  A product costs O(ell n^3) flops against the
-    4 sum_i t_i^2 entries of the explicit matrix.  Parts with fewer than two
-    edges contribute nothing and are left out, as in ``_accumulate_blocks``.
-    The dense factors are built on the first product, so light sides whose
-    blocks all take the dense norm path never build them.
+    with no diagonal in A_i.  A product costs ``madds`` = 2 ell n^3
+    multiply-adds, whatever the block, against the 4 sum_i t_i^2 entries of
+    the explicit matrix.  Parts with fewer than two edges contribute nothing
+    and are left out, as in ``_accumulate_blocks``.  The dense factors are
+    built on the first product, so light sides whose blocks all take the
+    dense norm path or the explicit product never build them.
     """
 
     def __init__(self, n: int, parts: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]):
         self.n = n
         self._parts = parts  # (s_i, eu, ev, ew) per part with at least two edges
+
+    @property
+    def madds(self) -> int:
+        """Multiply-adds of one product: two n x n by n x (ell n) matrix products."""
+        return 2 * len(self._parts) * self.n ** 3
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +195,8 @@ class Block:
 
     ``mat`` holds the block explicitly; ``matvec`` and ``rmatvec`` give the
     same products through the light side's shared ``factors`` (the pair
-    matrix is symmetric, so the transpose swaps the supports).
+    matrix is symmetric, so the transpose swaps the supports).  ``power_op``
+    is whichever of the two costs less per product.
     """
 
     j: int
@@ -190,6 +209,13 @@ class Block:
     @property
     def rows(self) -> int:
         return self.mat.rows
+
+    @property
+    def power_op(self) -> "Block | SparseMat":
+        """The block itself (factored products) if they are cheaper, else ``mat``."""
+        if self.factors.madds <= _FACTOR_MADDS_PER_NNZ * self.mat.nnz:
+            return self
+        return self.mat
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.factors.apply(x, self.col_pairs, self.row_pairs)
@@ -425,7 +451,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         size_j = partition.sizes[j]
         size_k = partition.sizes[k]
         nb = spectral_norm(block.mat, tol=config.norm_tol, max_iter=config.norm_max_iter,
-                           op=block)
+                           op=block.power_op)
         contribution = block_contribution(size_j, size_k, nb.upper)
         sigma2 = block_variance_bound(partition, j, k)
         r_bound = block_r_bound(partition, j, k, d_used)

@@ -420,6 +420,35 @@ def test_light_side_above_the_dense_cap_runs_through_the_factors(monkeypatch):
     assert block["norm_upper"] == pytest.approx(nb.upper, rel=1e-12)
 
 
+def test_many_part_light_side_above_the_dense_cap_keeps_the_explicit_product(monkeypatch):
+    # 3-XOR has one part per vertex: 38 sparse parts over n_psi = 50 give a
+    # 2382-row block with 87k entries, and a factored product would cost 109
+    # multiply-adds per entry, so power iteration keeps the COO product and
+    # the factors are never built
+    inst = gen_kxor(GenSpec(kind="random", n=50, m=800, seed=1, k=3))
+    seen = []
+    spectral_norm = xorcert.spectral.spectral_norm
+
+    def record(m, *args, op=None, **kwargs):
+        seen.append((m, op))
+        return spectral_norm(m, *args, op=op, **kwargs)
+
+    def factored(self, *args):
+        raise AssertionError("factored block product")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xorcert.spectral, "spectral_norm", record)
+        patch.setattr(xorcert.spectral.PairFactors, "apply", factored)
+        cert = refute_kxor(inst, eps=0.3)
+        assert verify_certificate_detailed(cert, inst) == (True, [])
+    (block,) = cert.payload["light"]["report"]["blocks"]
+    assert len(seen) == 2 and all(op is m for m, op in seen)
+    assert seen[0][0].rows > xorcert.linalg._DENSE_CAP
+    nb = spectral_norm(seen[0][0])
+    assert nb.method == "power-iteration-residual"
+    assert block["norm_upper"] == nb.upper
+
+
 def test_presentation_does_not_drop_a_block_to_its_l1_bound():
     # heavy-group 3-XOR under one gauge and clause order: power iteration
     # stopped early on stagnation there, the block fell back to its l1 bound
@@ -443,20 +472,25 @@ def test_presentation_does_not_drop_a_block_to_its_l1_bound():
 _REFUTE_TO_STDOUT = (
     "import sys\n"
     "from xorcert import GenSpec, gen_kxor, refute_kxor\n"
-    "inst = gen_kxor(GenSpec(kind='random', n=20, m={m}, seed=1, k=3))\n"
+    "inst = gen_kxor(GenSpec(kind='random', n={n}, m={m}, seed=1, k={k}))\n"
     "sys.stdout.write(refute_kxor(inst, eps={eps}).to_json())\n"
 )
 
 
 def test_certificate_bytes_independent_of_blas_threads():
     # the dual and the dense norm uppers are rounded onto binary grids, so
-    # the last digits that the BLAS thread count changes never reach them
+    # the last digits that the BLAS thread count changes never reach them;
+    # the 4-XOR input's light block is above the dense cap, where power
+    # iteration takes its products from the factors' matrix products
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for m, eps, side, mode in ((6000, 0.4, "heavy", "sdp"), (1200, 0.3, "light", "spectral")):
+    for n, m, k, eps, side, mode in ((20, 6000, 3, 0.4, "heavy", "sdp"),
+                                     (20, 1200, 3, 0.3, "light", "spectral"),
+                                     (14, 300, 4, 0.4, "light", "spectral")):
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", _REFUTE_TO_STDOUT.format(m=m, eps=eps)],
+            code = _REFUTE_TO_STDOUT.format(n=n, m=m, k=k, eps=eps)
+            proc = subprocess.run([sys.executable, "-c", code],
                                   env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr[-2000:]
             outputs.append(proc.stdout)
