@@ -8,6 +8,11 @@ so a certified PSD check of Z(d) (``min_eig_check``, one Cholesky) yields a
 sound upper bound on the infinity-to-one norm.  Minimizing sum(d) subject to
 Z(d) PSD is the dual of the standard SDP relaxation, whose value exceeds the
 true norm by at most the Grothendieck constant.
+
+The multipliers come from the low-rank mixing method on the primal SDP,
+whose sweeps are two dense products with M.  The solver is not trusted:
+its d is shifted onto the PSD boundary, rounded onto a grid and kept only
+if the Cholesky check passes, and the l1 multipliers d0 stand otherwise.
 """
 from __future__ import annotations
 
@@ -20,6 +25,13 @@ from .linalg import SparseMat, min_eig_check, psd_shift
 
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
+
+# the mixing method stops once a sweep moves no entry of V_R by more than
+# _MIX_TOL, or after _MIX_SWEEPS sweeps; it starts from a fixed Philox draw,
+# so refute stays deterministic
+_MIX_TOL = 1e-10
+_MIX_SWEEPS = 20000
+_MIX_KEY = 0
 
 
 @dataclass(frozen=True)
@@ -72,71 +84,49 @@ def z_matrix(m: SparseMat, d: np.ndarray) -> np.ndarray:
     return z
 
 
-def _logdet(z: np.ndarray) -> float:
-    """log det z from one Cholesky; -inf unless z is strictly inside the PSD cone."""
-    # strict-interior test: Cholesky can succeed on exactly singular matrices
-    try:
-        piv = np.diag(np.linalg.cholesky(z))
-    except np.linalg.LinAlgError:
-        return -math.inf
-    low = float(piv.min())
-    if low * low <= 1e-14 * max(1.0, float(np.abs(z).max())):
-        return -math.inf
-    return 2.0 * float(np.log(piv).sum())
+def _rownorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows of g scaled in place to unit length; a zero row takes v's row."""
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+    np.divide(g, norms, out=g, where=norms > 0.0)
+    np.copyto(g, v, where=norms == 0.0)
+    return g
 
 
-def _barrier_solve(w: np.ndarray, d0: np.ndarray, gap_rel: float = 1e-7) -> np.ndarray:
-    """Interior-point minimization of sum(d) s.t. Diag(d) - W PSD (dense, small)."""
-    n = w.shape[0]
-    d = d0.astype(np.float64).copy()
-    while (logdet := _logdet(np.diag(d) - w)) == -math.inf:  # d0 is diagonally dominant
-        d = 1.5 * d + 1e-9
-    t = n / max(float(d.sum()), 1e-300)
-    for _ in range(80):  # outer barrier rounds
-        for _ in range(60):  # Newton steps
-            z = np.diag(d) - w
-            try:
-                zinv = np.linalg.inv(z)
-            except np.linalg.LinAlgError:
-                return d
-            grad = t - np.diag(zinv)
-            hess = zinv * zinv
-            try:
-                delta = np.linalg.solve(hess + 1e-14 * np.eye(n), -grad)
-            except np.linalg.LinAlgError:
-                return d
-            dec2 = float(-grad @ delta)
-            if not math.isfinite(dec2) or dec2 <= 1e-16:
-                break
-            merit = t * float(d.sum()) - logdet
-            step = 1.0
-            for _ in range(60):
-                cand = d + step * delta
-                cand_logdet = _logdet(np.diag(cand) - w)
-                if t * float(cand.sum()) - cand_logdet <= merit - 0.25 * step * dec2:
-                    break
-                step *= 0.5
-            else:
-                break
-            d, logdet = cand, cand_logdet
-        if n / t <= gap_rel * max(1.0, float(d.sum())):
+def _mixing_solve(m: SparseMat) -> np.ndarray:
+    """Multipliers d that nearly minimize sum(d) subject to Z(d) PSD.
+
+    The mixing method (Wang, Chang & Kolter, arXiv 1706.00476; Burer &
+    Monteiro, Math. Prog. 2003) maximizes <M, V_L V_R^T> over unit rows
+    of rank r = ceil(sqrt(2(a+b))) + 1, high enough that, for almost every
+    M, its local optima are global.  The dilation is bipartite, so an
+    exact Gauss-Seidel sweep is two products.  The stopping rule watches
+    the vectors, not the value: the value is flat near the optimum, so it
+    stalls while d still moves in its eighth digit.  The multipliers
+    d = (|(M V_R)_i|, |(M^T V_L)_j|) are then moved onto the PSD boundary:
+    with d_L > 0, Z(d) is PSD iff the Schur complement
+    Diag(d_R) - M^T Diag(d_L)^-1 M is, so d_R is shifted by minus its
+    least eigenvalue.  A zero row or column of M gets d = 0.  Nothing here
+    is trusted; ``_certify`` decides.
+    """
+    a, b = m.rows, m.cols
+    dense = m.to_dense()
+    rank = math.ceil(math.sqrt(2 * (a + b))) + 1
+    v = np.random.Generator(np.random.Philox(key=_MIX_KEY)).standard_normal((a + b, rank))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v_left, v_right = v[:a], v[a:]
+    for _ in range(_MIX_SWEEPS):
+        v_left = _rownorm(dense @ v_right, v_left)
+        moved, v_right = v_right, _rownorm(dense.T @ v_left, v_right)
+        if float(np.abs(v_right - moved).max(initial=0.0)) <= _MIX_TOL:
             break
-        t *= 8.0
-    return d
-
-
-def _scale_to_boundary(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Shrink d along its ray onto the PSD boundary: d <- d * lambda_max(D^-1/2 W D^-1/2)."""
-    support = d > 0
-    if not support.any():
-        return d
-    root = np.where(support, np.sqrt(np.where(support, d, 1.0)), 1.0)
-    scaled = w / np.outer(root, root)
-    lam = float(np.linalg.eigvalsh(scaled)[-1])
-    if lam <= 0.0:
-        return np.zeros_like(d)
-    s = min(lam * (1.0 + 1e-9), 1.0)  # never scale past the incumbent
-    return d * s
+    d_left = np.linalg.norm(dense @ v_right, axis=1)
+    d_right = np.linalg.norm(dense.T @ v_left, axis=1)
+    rows, cols = d_left > 0.0, d_right > 0.0
+    if rows.any() and cols.any():
+        sub = dense[np.ix_(rows, cols)]
+        schur = np.diag(d_right[cols]) - sub.T @ (sub / d_left[rows, None])
+        d_right[cols] -= float(np.linalg.eigvalsh(schur)[0])
+    return np.concatenate([d_left, d_right])
 
 
 def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
@@ -161,21 +151,13 @@ def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
 def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
     """Certified upper bound on the infinity-to-one norm with its dual certificate.
 
-    The candidates are d0 (the l1 row and column sums) and the barrier
-    optimum on d0's support scaled onto the PSD boundary; the smaller bound
+    The candidates are d0 (the l1 row and column sums) and the mixing
+    method's multipliers shifted onto the PSD boundary; the smaller bound
     of those that pass the PSD check wins.  d0 makes Z(d0) diagonally
     dominant, so it always passes, also when M is zero.
     """
-    a, b = m.rows, m.cols
     d0 = np.concatenate([m.row_l1(), m.col_l1()])
-    w = np.zeros((a + b, a + b))  # the dense dilation [[0, M], [M^T, 0]]
-    w[:a, a:] = m.to_dense()
-    w[a:, :a] = w[:a, a:].T
-    idx = np.flatnonzero(d0 > 0)
-    d_opt = np.zeros(a + b)
-    if idx.size:
-        d_opt[idx] = _barrier_solve(w[np.ix_(idx, idx)], d0[idx])
-    certs = [_certify(m, d) for d in (d0, _scale_to_boundary(w, d_opt))]
+    certs = [_certify(m, d) for d in (d0, _mixing_solve(m))]
     best = min((cert for cert in certs if cert is not None), key=DualCert.bound)
     return best.bound(), best
 

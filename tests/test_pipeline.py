@@ -349,6 +349,7 @@ def test_verify_never_solves_the_sdp(dense_kxor, monkeypatch):
 
     monkeypatch.setattr(xorcert.sdp, "inf1_upper", solve)
     monkeypatch.setattr(xorcert.pipeline, "inf1_upper", solve)
+    monkeypatch.setattr(xorcert.sdp, "_mixing_solve", solve)
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
 

@@ -3,23 +3,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import xorcert.sdp
 from xorcert import (
     REFUTED,
     UNKNOWN,
     DualCert,
+    GenSpec,
     KG_UPPER,
     PartitionedInstance,
     SparseMat,
     brute_force_inf1,
+    gen_kxor,
     gen_random_partitioned,
     inf1_lower_round,
     inf1_upper,
     min_eig_check,
+    refute_kxor,
     refute_partitioned,
     verify_certificate_detailed,
     z_matrix,
 )
-from xorcert.sdp import _certify
+from xorcert.sdp import _certify, _mixing_solve
 
 
 def test_z_matrix_assembly():
@@ -126,6 +130,73 @@ def test_d0_certifies_at_2000_dims():
     assert cert is not None
     assert cert.d_left + cert.d_right == tuple(d0)  # integer d0 is already on the grid
     assert 0.0 < cert.slack <= 1e-10 * float(d0.sum())
+
+
+def _sign_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
+    return np.random.default_rng(seed).choice([-1.0, 1.0], size=(rows, cols))
+
+
+def test_inf1_upper_is_exact_on_a_hadamard_matrix():
+    # H_16 has orthogonal rows of norm 4, so its SDP value is 16 * 4 = 64
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    bound, cert = inf1_upper(SparseMat.from_dense(h))
+    assert bound == cert.bound()
+    assert 64.0 - 1e-9 <= bound <= 64.0 * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inf1_upper_ignores_signs_and_order(seed):
+    # flipping row and column signs and permuting them keeps the SDP value
+    a = _sign_matrix(seed, 60, 12)
+    gen = np.random.default_rng(100 + seed)
+    flip_r = gen.choice([-1.0, 1.0], size=60)
+    flip_c = gen.choice([-1.0, 1.0], size=12)
+    moved = (flip_r[:, None] * a * flip_c)[np.ix_(gen.permutation(60), gen.permutation(12))]
+    bound, _ = inf1_upper(SparseMat.from_dense(a))
+    moved_bound, _ = inf1_upper(SparseMat.from_dense(moved))
+    assert abs(moved_bound - bound) <= 1e-9 * bound
+
+
+def test_inf1_upper_is_deterministic():
+    m = SparseMat.from_dense(_sign_matrix(0, 30, 9))
+    first, second = inf1_upper(m), inf1_upper(m)
+    assert first == second
+
+
+def test_a_solve_cut_short_still_certifies(monkeypatch):
+    # the Schur-complement shift puts unconverged multipliers onto the PSD
+    # boundary, so a capped solve loses tightness, not the certificate
+    m = SparseMat.from_dense(_sign_matrix(0, 60, 12))
+    converged, _ = inf1_upper(m)
+    monkeypatch.setattr(xorcert.sdp, "_MIX_SWEEPS", 3)
+    cert = _certify(m, _mixing_solve(m))
+    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    assert cert is not None
+    assert converged < cert.bound() < 0.5 * _certify(m, d0).bound()
+
+
+def test_zero_rows_and_columns_get_zero_multipliers():
+    a = _sign_matrix(1, 8, 6)
+    a[3] = 0.0
+    a[:, 4] = 0.0
+    m = SparseMat.from_dense(a)
+    d = _mixing_solve(m)
+    assert d[3] == 0.0 and d[8 + 4] == 0.0
+    assert (np.delete(d, [3, 8 + 4]) > 0).all()
+    _, cert = inf1_upper(m)
+    assert cert.d_left[3] == 0.0 and cert.d_right[4] == 0.0
+
+
+def test_mixing_bound_is_tight_on_a_516_by_40_heavy_side():
+    # the barrier solver stopped at 4650.9 here; the SDP optimum is about 4164.7
+    inst = gen_kxor(GenSpec(kind="random", n=40, m=30000, seed=1, k=3))
+    cert = refute_kxor(inst, eps=0.4)
+    report = cert.payload["heavy"]["report"]
+    assert (report["rows"], report["cols"]) == (516, 40)
+    assert report["bound"] < 4200.0
+    assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_refute_2xor_random_succeeds():
