@@ -210,33 +210,46 @@ def _dense_norm(a: np.ndarray, symmetric: bool) -> tuple[float, float | None]:
         w[:rows, rows:] = a
         w[rows:, :rows] = a.T
         signs = (-1.0,)
-    q = 2.0 ** (math.frexp(s1)[1] - 24)
+    q = _grid(s1)
     u = math.ceil((s1 + 4.0 * psd_shift(np.full(len(w), 2.0 * s1))) / q) * q
     if all(min_eig_check(sign * w, u) for sign in signs):
         return rayleigh, u
     return rayleigh, None
 
 
-def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
+def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 1500,
                   restart_seed: int = 0x5EED, op=None) -> NormBound:
     """Two-sided spectral norm bound, upper = min(l1 bound, u).
 
-    If M is exactly symmetric with at most ``_DENSE_CAP`` rows, or its
-    dilation has at most that many, u comes from ``_dense_norm``, which is
-    sound ("dense-cholesky"); when its check fails the upper is the l1 bound
-    ("schur-l1"), with no retry.  Larger matrices run power iteration on the
-    squared dilation from a deterministic all-ones start plus one seeded
-    random restart (tol, max_iter and restart_seed steer only this path), and
+    m is a ``SparseMat`` or a dense array.  If M is exactly symmetric with
+    at most ``_DENSE_CAP`` rows, or its dilation has at most that many, u
+    comes from ``_dense_norm``, which is sound ("dense-cholesky"); when its
+    check fails the upper is the l1 bound ("schur-l1"), with no retry.  A
+    dense array takes this path as it is, with no sparse round trip; one too
+    large for it is converted to a ``SparseMat``.  Larger matrices run power iteration on the squared
+    dilation from a deterministic all-ones start plus one seeded random
+    restart (tol, max_iter and restart_seed steer only this path), and
     u = |rho| + residual at the aligned final iterate, which is not yet sound
-    when the top singular values nearly coincide; this path rounds u up and
-    the lower bound down onto a grid 2^-24 below the lower bound, so that
-    their bytes do not follow the BLAS thread count.  The iteration takes its
-    products M x and M^T y from op (default m itself): any object with
-    ``rows``, ``matvec`` and ``rmatvec`` that agree with m, such as a
-    light-side ``Block``, which applies them through Kronecker factors.  The
-    lower bound is the largest |entry| or the Rayleigh quotient of the top
-    vector, less a rounding guard.
+    when the top singular values nearly coincide; this path rounds u up onto
+    a grid 2^-24 below the lower bound.  The iteration takes its products
+    M x and M^T y from op (default m itself): any object with ``rows``,
+    ``matvec`` and ``rmatvec`` that agree with m, such as a light-side
+    ``Block``, which applies them through Kronecker factors.  The lower bound
+    is the largest |entry| or the Rayleigh quotient of the top vector, less
+    a rounding guard; on both paths it is rounded down onto the grid, so
+    that its bytes do not follow the last digits of the eigen solve or of
+    the BLAS calls, whose order of summation follows the thread count.
     """
+    if isinstance(m, np.ndarray):
+        rows, cols = m.shape
+        absm = np.abs(m)
+        if not absm.any():
+            return NormBound(0.0, 0.0, "exact-small")
+        if rows + cols <= _DENSE_CAP or (rows == cols <= _DENSE_CAP
+                                        and np.array_equal(m, m.T)):
+            l1 = max(absm.sum(axis=1).max(), absm.sum(axis=0).max()) * (1.0 + _ROUND_GUARD)
+            return _dense_sandwich(m, float(absm.max()), float(l1))
+        m = SparseMat.from_dense(m)
     op = m if op is None else op
     l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
     if m.nnz == 0:
@@ -244,10 +257,8 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     lower = m.abs_max()  # every entry is a lower bound on the norm
     if m.rows + m.cols <= _DENSE_CAP or (m.rows == m.cols and m.rows <= _DENSE_CAP):
         a = m.to_dense()
-        symmetric = np.array_equal(a, a.T)
-        if symmetric or m.rows + m.cols <= _DENSE_CAP:
-            rayleigh, u = _dense_norm(a, symmetric)
-            return _sandwich(max(lower, rayleigh), u, l1, "dense-cholesky")
+        if m.rows + m.cols <= _DENSE_CAP or np.array_equal(a, a.T):
+            return _dense_sandwich(a, lower, l1)
     dim = m.rows + m.cols
     starts = [np.ones(dim)]
     rng = np.random.Generator(np.random.Philox(key=restart_seed))
@@ -271,20 +282,34 @@ def spectral_norm(m: SparseMat, tol: float = 1e-8, max_iter: int = 1500,
     cand = (rho_abs + res) * (1.0 + _ROUND_GUARD)
     if cand < lower:
         cand = None  # alignment failed
-    # round outward onto a grid 2^-24 below the lower bound: the iterates'
-    # norms, dot products and factored products are BLAS calls whose order
-    # of summation, and so whose last digits, follow the thread count
-    q = 2.0 ** (math.frexp(lower)[1] - 24)
-    lower = math.floor(lower / q) * q
-    if cand is not None:
+    else:
+        # round up onto the lower bound's grid: the iterates' norms, dot
+        # products and factored products are BLAS calls
+        q = _grid(lower)
         cand = math.ceil(cand / q) * q
     return _sandwich(lower, cand, l1, "power-iteration-residual")
 
 
+def _dense_sandwich(a: np.ndarray, lower: float, l1: float) -> NormBound:
+    """The dense path of ``spectral_norm``: lower is the largest |entry|, l1 the l1 bound."""
+    rayleigh, u = _dense_norm(a, np.array_equal(a, a.T))
+    return _sandwich(max(lower, rayleigh), u, l1, "dense-cholesky")
+
+
+def _grid(x: float) -> float:
+    """The spacing of a binary grid 2^-24 below x."""
+    return 2.0 ** (math.frexp(x)[1] - 24)
+
+
 def _sandwich(lower: float, u: float | None, l1: float, method: str) -> NormBound:
-    """NormBound with upper = min(u, l1), "schur-l1" when l1 wins or u is None."""
+    """NormBound with upper = min(u, l1), "schur-l1" when l1 wins or u is None.
+
+    The lower bound is rounded down onto a grid 2^-24 below itself.
+    """
     if u is None or u >= l1:
         u, method = l1, "schur-l1"
+    q = _grid(lower)
+    lower = math.floor(lower / q) * q
     return NormBound(min(lower * (1.0 - _ROUND_GUARD), u), u, method)
 
 

@@ -129,8 +129,8 @@ def _mixing_solve(m: SparseMat) -> np.ndarray:
     return np.concatenate([d_left, d_right])
 
 
-def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
-    """The dual certificate for d, or None if Z(d) fails the PSD check.
+def _rounded(m: SparseMat, d: np.ndarray) -> DualCert:
+    """The dual certificate for d, before its PSD check.
 
     d is clamped at 0 and rounded up onto a grid 2^-24 below its largest
     entry, which keeps PSD-ness and drops the last digits that the BLAS
@@ -140,12 +140,17 @@ def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
     d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
     q = 2.0 ** (math.frexp(float(d.max()))[1] - 24)
     d = np.ceil(d / q) * q
-    slack = 4.0 * psd_shift(d)
-    if not min_eig_check(z_matrix(m, d), slack):
-        return None
     return DualCert(d_left=tuple(float(x) for x in d[:a]),
                     d_right=tuple(float(x) for x in d[a:]),
-                    slack=slack)
+                    slack=4.0 * psd_shift(d))
+
+
+def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
+    """The dual certificate for d (see ``_rounded``), or None if Z(d) fails the PSD check."""
+    cert = _rounded(m, d)
+    if not min_eig_check(z_matrix(m, np.array(cert.d_left + cert.d_right)), cert.slack):
+        return None
+    return cert
 
 
 def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
@@ -153,13 +158,23 @@ def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
 
     The candidates are d0 (the l1 row and column sums) and the mixing
     method's multipliers shifted onto the PSD boundary; the smaller bound
-    of those that pass the PSD check wins.  d0 makes Z(d0) diagonally
-    dominant, so it always passes, also when M is zero.
+    of those that pass the PSD check wins, and d0 on a tie.  d0 makes Z(d0)
+    diagonally dominant, so it always passes, also when M is zero.  Both
+    bounds are known before their checks, so the usual case runs one
+    Cholesky: the mixing d's alone when its bound is strictly below d0's,
+    else d0's alone.
     """
     d0 = np.concatenate([m.row_l1(), m.col_l1()])
-    certs = [_certify(m, d) for d in (d0, _mixing_solve(m))]
-    best = min((cert for cert in certs if cert is not None), key=DualCert.bound)
-    return best.bound(), best
+    mixed = _mixing_solve(m)
+    if _rounded(m, mixed).bound() < _rounded(m, d0).bound():
+        order = (mixed, d0)
+    else:
+        order = (d0, mixed)
+    for d in order:
+        cert = _certify(m, d)
+        if cert is not None:
+            return cert.bound(), cert
+    raise ValueError("neither dual passes the PSD check")
 
 
 def inf1_lower_round(m: SparseMat, trials: int = 32, seed: int = 0):

@@ -13,11 +13,14 @@ vertex pairs: with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i),
 an exact identity (entries of M pair distinct constraint pairs only; the
 diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
-Each block is built explicitly, which gives its nnz, l1 bound and dense
-norm path.  Power iteration on a block above the dense cap takes its
-products from M's Kronecker factors (``PairFactors``) when they cost less
-than the block's entries, which holds for few parts with many edges each
-(4 sum_i t_i^2 >> ell n^3), and from the explicit block otherwise.
+Each block is built explicitly, which gives its nnz and l1 bound.  A side
+with n^2 <= _DENSE_CAP pairs builds M once as a dense array and cuts every
+block from it, and all of them take the dense norm path; a larger side
+merges each block's entries into a ``SparseMat``.  Power iteration on a
+block above the dense cap takes its products from M's Kronecker factors
+(``PairFactors``) when they cost less than the block's entries, which
+holds for few parts with many edges each (4 sum_i t_i^2 >> ell n^3), and
+from the explicit block otherwise.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import DegreeProfile, PartitionedInstance, degree_profile
-from .linalg import SparseMat, bernstein_threshold, spectral_norm
+from .linalg import _DENSE_CAP, SparseMat, bernstein_threshold, spectral_norm
 
 # power iteration takes a block's products from the factors when one product
 # there costs at most this many multiply-adds per entry of the explicit
@@ -145,26 +148,27 @@ class PairFactors:
     with no diagonal in A_i.  A product costs ``madds`` = 2 ell n^3
     multiply-adds, whatever the block, against the 4 sum_i t_i^2 entries of
     the explicit matrix.  Parts with fewer than two edges contribute nothing
-    and are left out, as in ``_accumulate_blocks``.  The dense factors are
-    built on the first product, so light sides whose blocks all take the
-    dense norm path or the explicit product never build them.
+    and are left out; ``parts`` holds the others as (s_i, eu, ev, ew), which
+    the block builders also read.  The dense factors are built on the first
+    product, so light sides whose blocks all take the dense norm path or
+    the explicit product never build them.
     """
 
     def __init__(self, n: int, parts: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]):
         self.n = n
-        self._parts = parts  # (s_i, eu, ev, ew) per part with at least two edges
+        self.parts = parts  # (s_i, eu, ev, ew) per part with at least two edges
 
     @property
     def madds(self) -> int:
         """Multiply-adds of one product: two n x n by n x (ell n) matrix products."""
-        return 2 * len(self._parts) * self.n ** 3
+        return 2 * len(self.parts) * self.n ** 3
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, ell = self.n, len(self._parts)
+        n, ell = self.n, len(self.parts)
         tables = np.zeros((ell, n, n))
         scales = np.empty(ell)
-        for i, (scale, eu, ev, ew) in enumerate(self._parts):
+        for i, (scale, eu, ev, ew) in enumerate(self.parts):
             tables[i, eu, ev] = ew
             tables[i, ev, eu] = ew
             scales[i] = scale
@@ -176,7 +180,7 @@ class PairFactors:
 
     def apply(self, x: np.ndarray, in_pairs: np.ndarray, out_pairs: np.ndarray) -> np.ndarray:
         """(M z)[out_pairs], where z is x on the pairs in_pairs and zero elsewhere."""
-        n, ell = self.n, len(self._parts)
+        n, ell = self.n, len(self.parts)
         wide, scaled, a2 = self._factors
         flat = np.zeros(n * n)
         flat[in_pairs] = x
@@ -193,27 +197,35 @@ class PairFactors:
 class Block:
     """One weight-class block of the canonical pair matrix, on its support.
 
-    ``mat`` holds the block explicitly; ``matvec`` and ``rmatvec`` give the
-    same products through the light side's shared ``factors`` (the pair
-    matrix is symmetric, so the transpose swaps the supports).  ``power_op``
-    is whichever of the two costs less per product.
+    ``mat`` holds the block explicitly: a dense array when the light side
+    has at most ``_DENSE_CAP`` pairs, where every block takes the dense norm
+    path, and a ``SparseMat`` otherwise.  ``matvec`` and ``rmatvec`` give
+    the same products through the light side's shared ``factors`` (the pair
+    matrix is symmetric, so the transpose swaps the supports).
+    ``power_op`` is whichever of the two costs less per product.
     """
 
     j: int
     k: int
-    mat: SparseMat
+    mat: SparseMat | np.ndarray
     row_pairs: np.ndarray  # flat encodings v * n + v' of the ordered row pairs
     col_pairs: np.ndarray
     factors: PairFactors
 
     @property
     def rows(self) -> int:
-        return self.mat.rows
+        return len(self.row_pairs)
 
     @property
-    def power_op(self) -> "Block | SparseMat":
+    def nnz(self) -> int:
+        if isinstance(self.mat, SparseMat):
+            return self.mat.nnz
+        return int(np.count_nonzero(self.mat))
+
+    @property
+    def power_op(self) -> "Block | SparseMat | np.ndarray":
         """The block itself (factored products) if they are cheaper, else ``mat``."""
-        if self.factors.madds <= _FACTOR_MADDS_PER_NNZ * self.mat.nnz:
+        if self.factors.madds <= _FACTOR_MADDS_PER_NNZ * self.nnz:
             return self
         return self.mat
 
@@ -237,19 +249,65 @@ def _part_edge_arrays(table: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return eu, ev, ew
 
 
-def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
-                       partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
-    n = profile.n
-    cmat = partition.class_matrix()
-    acc: dict[tuple[int, int], list[np.ndarray]] = {}
+def _pair_factors(profile: DegreeProfile, mu: list[dict]) -> PairFactors:
     parts = []
     for t, table in zip(profile.t, mu):
         eu, ev, ew = _part_edge_arrays(table)
+        if len(ew) >= 2:  # entries need two distinct edges in the part
+            parts.append((1.0 / math.sqrt(t), eu, ev, ew))
+    return PairFactors(profile.n, parts)
+
+
+def _dense_blocks(factors: PairFactors,
+                  partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
+    """Every block cut from the whole pair matrix, built dense (n^2 <= _DENSE_CAP).
+
+    K = sum_i s_i (A_i (x) A_i) is accumulated part by part: each pair of
+    oriented edges (p1, q1), (p2, q2) of part i adds (mu_i(e) mu_i(f)) s_i
+    at row p1 n + p2, column q1 n + q2, a position no other pair of the
+    part reaches.  So every entry is its part terms summed in part order,
+    with elementwise operations only: no BLAS call, whose bytes would follow
+    the thread count.  The e = f terms are exactly the entries at pairs
+    (u, u) x (v, v) and (u, v) x (v, u), which no e != f term reaches, so M
+    is K with those entries set to 0.  K takes n^4 <= 2^20 floats (8 MB),
+    and a part costs its 4 t_i^2 entries, as in the COO build.
+    """
+    n = factors.n
+    kron = np.zeros((n, n, n, n))  # kron[p1, p2, q1, q2]
+    flat = kron.reshape(-1)
+    for scale, eu, ev, ew in factors.parts:
+        p, q, w = np.concatenate([eu, ev]), np.concatenate([ev, eu]), np.concatenate([ew, ew])
+        at = (p * n ** 3 + q * n)[:, None] + (p * n * n + q)[None, :]
+        term = np.multiply.outer(w, w)
+        term *= scale
+        flat[at.ravel()] += term.ravel()
+    u, v = np.indices((n, n))
+    kron[u, u, v, v] = 0.0
+    kron[u, v, v, u] = 0.0
+    pair_matrix = kron.reshape(n * n, n * n)
+    classes = partition.class_matrix().ravel()
+    members = [np.flatnonzero(classes == j) for j in range(partition.levels + 1)]
+    blocks: dict[tuple[int, int], Block] = {}
+    for j, rows in enumerate(members):
+        for k, cols in enumerate(members):
+            sub = pair_matrix[np.ix_(rows, cols)]
+            live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
+            if not live_rows.any():
+                continue
+            blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
+                                   row_pairs=rows[live_rows], col_pairs=cols[live_cols],
+                                   factors=factors)
+    return blocks
+
+
+def _coo_blocks(factors: PairFactors,
+                partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
+    """Every block as a ``SparseMat``, merged from the 4 sum_i t_i^2 entries."""
+    n = factors.n
+    cmat = partition.class_matrix()
+    acc: dict[tuple[int, int], list[np.ndarray]] = {}
+    for scale, eu, ev, ew in factors.parts:
         count = len(ew)
-        if count < 2:
-            continue  # entries need two distinct edges in the part
-        scale = 1.0 / math.sqrt(t)
-        parts.append((scale, eu, ev, ew))
         ee, ff = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
         off = ee != ff
         ee, ff = ee[off], ff[off]
@@ -268,7 +326,6 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
                     key = (int(code) // (partition.levels + 1), int(code) % (partition.levels + 1))
                     acc.setdefault(key, []).append(
                         np.stack([rows[sel], cols[sel], vals[sel]]))
-    factors = PairFactors(n, parts)
     blocks: dict[tuple[int, int], Block] = {}
     for key in sorted(acc):
         stacked = np.concatenate(acc[key], axis=1)
@@ -281,6 +338,20 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
         blocks[key] = Block(j=key[0], k=key[1], mat=mat, row_pairs=row_pairs,
                             col_pairs=col_pairs, factors=factors)
     return blocks
+
+
+def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
+                       partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
+    """Dense blocks when the side has at most ``_DENSE_CAP`` pairs, else COO blocks.
+
+    Every block of such a side takes the dense norm path: a diagonal block
+    is symmetric with at most |S_j| <= n^2 rows, and an off-diagonal block
+    has rows + cols <= |S_j| + |S_k| <= n^2.
+    """
+    factors = _pair_factors(profile, mu)
+    if profile.n ** 2 <= _DENSE_CAP:
+        return _dense_blocks(factors, partition)
+    return _coo_blocks(factors, partition)
 
 
 def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
@@ -457,7 +528,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         r_bound = block_r_bound(partition, j, k, d_used)
         t_jk = bernstein_threshold(sigma2, r_bound, size_j, size_k, delta_block)
         records.append(BlockRecord(
-            j=j, k=k, size_j=size_j, size_k=size_k, nnz=block.mat.nnz,
+            j=j, k=k, size_j=size_j, size_k=size_k, nnz=block.nnz,
             norm_lower=nb.lower, norm_upper=nb.upper, contribution=contribution,
             sigma2=sigma2, r_bound=r_bound, bernstein_t=t_jk,
         ))

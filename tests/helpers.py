@@ -74,7 +74,7 @@ def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
     """The (j, k) block alone (empty matrix when it has no entries)."""
     blocks = build_blocks(inst, partition)
     if (j, k) in blocks:
-        return blocks[(j, k)].mat
+        return SparseMat.from_dense(block_dense(blocks[(j, k)]))
     return SparseMat.from_arrays(0, 0, [], [], [])
 
 
@@ -89,8 +89,13 @@ def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
     mu = [_kept_mu(inst, profile)[slot]]
     blocks = _accumulate_blocks(sub, mu, partition)
     if (j, k) in blocks:
-        return blocks[(j, k)].mat
+        return SparseMat.from_dense(block_dense(blocks[(j, k)]))
     return SparseMat.from_arrays(0, 0, [], [], [])
+
+
+def block_dense(block: Block) -> np.ndarray:
+    """A block's entries as a dense array, whichever form it was built in."""
+    return block.mat.to_dense() if isinstance(block.mat, SparseMat) else block.mat
 
 
 def part_biases(inst: PartitionedInstance, x: np.ndarray) -> list[float]:
@@ -125,7 +130,7 @@ def phi1_from_blocks(blocks: dict[tuple[int, int], Block], x: np.ndarray,
     for block in blocks.values():
         zr = x[block.row_pairs // n] * x[block.row_pairs % n]
         zc = x[block.col_pairs // n] * x[block.col_pairs % n]
-        form += float(zr @ block.mat.matvec(zc))
+        form += float(zr @ (block_dense(block) @ zc))
     return form / 4.0 + c0
 
 

@@ -423,9 +423,9 @@ def test_light_side_above_the_dense_cap_runs_through_the_factors(monkeypatch):
 
 def test_many_part_light_side_above_the_dense_cap_keeps_the_explicit_product(monkeypatch):
     # 3-XOR has one part per vertex: 38 sparse parts over n_psi = 50 give a
-    # 2382-row block with 87k entries, and a factored product would cost 109
-    # multiply-adds per entry, so power iteration keeps the COO product and
-    # the factors are never built
+    # 2382-row block with 87k entries, built as COO (n_psi^2 > _DENSE_CAP),
+    # and a factored product would cost 109 multiply-adds per entry, so
+    # power iteration keeps the COO product and the factors are never built
     inst = gen_kxor(GenSpec(kind="random", n=50, m=800, seed=1, k=3))
     seen = []
     spectral_norm = xorcert.spectral.spectral_norm
@@ -444,6 +444,7 @@ def test_many_part_light_side_above_the_dense_cap_keeps_the_explicit_product(mon
         assert verify_certificate_detailed(cert, inst) == (True, [])
     (block,) = cert.payload["light"]["report"]["blocks"]
     assert len(seen) == 2 and all(op is m for m, op in seen)
+    assert all(isinstance(m, xorcert.linalg.SparseMat) for m, _ in seen)
     assert seen[0][0].rows > xorcert.linalg._DENSE_CAP
     nb = spectral_norm(seen[0][0])
     assert nb.method == "power-iteration-residual"
@@ -479,13 +480,15 @@ _REFUTE_TO_STDOUT = (
 
 
 def test_certificate_bytes_independent_of_blas_threads():
-    # the dual and the dense norm uppers are rounded onto binary grids, so
-    # the last digits that the BLAS thread count changes never reach them;
+    # the dual and both bounds of every norm are rounded onto binary grids,
+    # so the last digits that the BLAS thread count changes never reach them;
     # the 4-XOR input's light block is above the dense cap, where power
-    # iteration takes its products from the factors' matrix products
+    # iteration takes its products from the factors' matrix products, and
+    # at n=30 the dense path's Rayleigh quotient differs in its last digits
     src = str(Path(__file__).resolve().parents[1] / "src")
     for n, m, k, eps, side, mode in ((20, 6000, 3, 0.4, "heavy", "sdp"),
                                      (20, 1200, 3, 0.3, "light", "spectral"),
+                                     (30, 2000, 3, 0.3, "light", "spectral"),
                                      (14, 300, 4, 0.4, "light", "spectral")):
         outputs = []
         for threads in ("1", "2"):

@@ -177,6 +177,37 @@ def test_a_solve_cut_short_still_certifies(monkeypatch):
     assert converged < cert.bound() < 0.5 * _certify(m, d0).bound()
 
 
+def _failing_solve(m):
+    return np.zeros(m.rows + m.cols)  # Z(0) = [[0, -M], [-M^T, 0]] is not PSD
+
+
+@pytest.mark.parametrize("a, solve, checks", [
+    (_sign_matrix(0, 60, 12), None, 1),  # the mixing d wins
+    (np.zeros((4, 3)), None, 1),  # a tie at 0 goes to d0
+    (np.eye(5), None, 1),  # d0 is optimal
+    (_sign_matrix(1, 20, 8), _failing_solve, 2),  # the mixing d fails, then d0 passes
+])
+def test_inf1_upper_checks_the_smaller_bound_first(monkeypatch, a, solve, checks):
+    # the choice and its bytes are those of checking both duals and taking
+    # the smaller passing bound, d0 on a tie; the usual case runs one Cholesky
+    m = SparseMat.from_dense(a)
+    if solve is not None:
+        monkeypatch.setattr(xorcert.sdp, "_mixing_solve", solve)
+    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    both = [_certify(m, d) for d in (d0, xorcert.sdp._mixing_solve(m))]
+    expected = min((cert for cert in both if cert is not None), key=DualCert.bound)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return min_eig_check(*args)
+
+    monkeypatch.setattr(xorcert.sdp, "min_eig_check", counted)
+    bound, cert = inf1_upper(m)
+    assert len(calls) == checks
+    assert cert.to_json_dict() == expected.to_json_dict() and bound == expected.bound()
+
+
 def test_zero_rows_and_columns_get_zero_multipliers():
     a = _sign_matrix(1, 8, 6)
     a[3] = 0.0

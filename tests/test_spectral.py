@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dupfree_partitioned
-from helpers import (build_block, build_part_block, empirical_variance_norm, phi1_direct,
-                     phi1_from_blocks, phi_direct)
+from helpers import (block_dense, build_block, build_part_block, empirical_variance_norm,
+                     phi1_direct, phi1_from_blocks, phi_direct)
 from xorcert import (
     ButterflyTable,
     PartitionedInstance,
+    RefuteConfig,
+    SparseMat,
     WeightClassPartition,
     block_r_bound,
     block_variance_bound,
@@ -27,6 +29,8 @@ from xorcert import (
     spectral_norm,
     weight_classes,
 )
+from xorcert.linalg import _DENSE_CAP
+from xorcert.spectral import _coo_blocks, _dense_blocks, _kept_mu, _pair_factors
 
 
 def _signs(rng, n):
@@ -101,13 +105,13 @@ def test_block_entries_hand_example():
     partition = _all_s0(3)
     block = build_blocks(inst, partition)[(0, 0)]
     n = 3
-    dense = block.mat.to_dense()
+    dense = block_dense(block)
     row = int(np.flatnonzero(block.row_pairs == 0 * n + 0)[0])
     col = int(np.flatnonzero(block.col_pairs == 1 * n + 2)[0])
     assert dense[row, col] == pytest.approx(-1.0 / math.sqrt(2.0))
     # two edge orders x four orientations = 8 entries, all -1/sqrt(2)
-    assert block.mat.nnz == 8
-    np.testing.assert_allclose(block.mat.v, -1.0 / math.sqrt(2.0))
+    assert block.nnz == 8
+    np.testing.assert_allclose(dense[dense != 0.0], -1.0 / math.sqrt(2.0))
 
 
 def test_single_constraint_has_no_blocks():
@@ -175,16 +179,60 @@ def test_block_apply_matches_explicit_block(inst, alpha_c, seed):
                                    m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
     gen = np.random.default_rng(seed)
     for block in build_blocks(inst, partition, profile).values():
-        absmat = np.abs(block.mat.to_dense())
-        x = gen.uniform(-1.0, 1.0, block.mat.cols)
-        y = gen.uniform(-1.0, 1.0, block.mat.rows)
+        dense = block_dense(block)
+        absmat = np.abs(dense)
+        x = gen.uniform(-1.0, 1.0, len(block.col_pairs))
+        y = gen.uniform(-1.0, 1.0, len(block.row_pairs))
         # each row within 1e-12 of its abs-sum; entries that cancel across
         # parts leave rounding the abs-sum does not see, covered by the floor
         floor = 1e-14 * max(absmat.sum(axis=1).max(), absmat.sum(axis=0).max())
-        assert np.all(np.abs(block.matvec(x) - block.mat.matvec(x))
+        assert np.all(np.abs(block.matvec(x) - dense @ x)
                       <= 1e-12 * absmat.sum(axis=1) + floor)
-        assert np.all(np.abs(block.rmatvec(y) - block.mat.rmatvec(y))
+        assert np.all(np.abs(block.rmatvec(y) - dense.T @ y)
                       <= 1e-12 * absmat.sum(axis=0) + floor)
+
+
+def _on_all_pairs(blocks, n):
+    """Each block's entries placed at their (row pair, column pair) in an n^2 x n^2 array."""
+    out = {}
+    for key, block in blocks.items():
+        full = np.zeros((n * n, n * n))
+        full[np.ix_(block.row_pairs, block.col_pairs)] = block_dense(block)
+        out[key] = full
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_partitioned(), st.sampled_from([None, 1e-4, 1e-5, 1e-6]))
+@example(_CANCELLING, None)
+@example(_CANCELLING, 1e-5)
+@example(_ONE_EDGE_PART, None)
+@example(_ONE_EDGE_PART, 1e-5)
+@example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5)
+def test_dense_and_coo_builders_agree(inst, alpha_c):
+    # the dense build, which every side with n^2 <= _DENSE_CAP takes, and the
+    # COO build of larger sides give the same blocks on the same supports
+    profile = degree_profile(inst)
+    if alpha_c is None:
+        partition = _all_s0(inst.n)
+    else:
+        partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
+                                   m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
+    factors = _pair_factors(profile, _kept_mu(inst, profile))
+    dense_blocks = _dense_blocks(factors, partition)
+    coo_blocks = _coo_blocks(factors, partition)
+    assert sorted(dense_blocks) == sorted(coo_blocks)
+    assert all(isinstance(b.mat, np.ndarray) for b in dense_blocks.values())
+    assert all(isinstance(b.mat, SparseMat) for b in coo_blocks.values())
+    dense_full = _on_all_pairs(dense_blocks, inst.n)
+    coo_full = _on_all_pairs(coo_blocks, inst.n)
+    for key in dense_blocks:
+        d, c = dense_full[key], coo_full[key]
+        np.testing.assert_array_equal(d != 0.0, c != 0.0)
+        assert dense_blocks[key].nnz == coo_blocks[key].nnz
+        absmat = np.abs(c)
+        floor = 1e-14 * max(absmat.sum(axis=1).max(), absmat.sum(axis=0).max())
+        assert np.all(np.abs(d - c) <= 1e-12 * absmat.sum(axis=1)[:, None] + floor)
 
 
 def test_dup_correction_signs():
@@ -278,3 +326,30 @@ def test_certify_dbounded_validation():
         certify_dbounded(inst, eps=0.0)
     with pytest.raises(ValueError):
         certify_dbounded(PartitionedInstance(n=3, ell=1, constraints=()), eps=0.3)
+
+
+def _no_coo(*args, **kwargs):
+    raise AssertionError("COO block build")
+
+
+@pytest.mark.parametrize("inst, alpha_c, count", [
+    (gen_random_partitioned(20, 20, 1200, seed=1), 1.0, 1),  # one clamped 400-pair class
+    (gen_random_partitioned(8, 2, 30, seed=1), 1e-5, 4),
+])
+def test_small_side_never_builds_coo_blocks(monkeypatch, inst, alpha_c, count):
+    monkeypatch.setattr(SparseMat, "from_arrays", classmethod(_no_coo))
+    rep = certify_dbounded(inst, eps=0.3, config=RefuteConfig(alpha_c=alpha_c))
+    assert len(rep.blocks) == count
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_dense_build_up_to_the_cap(monkeypatch, n):
+    # n^2 = 1024 pairs is the last side built dense
+    inst = gen_random_partitioned(n, 3, 200, seed=1)
+    if n * n > _DENSE_CAP:
+        monkeypatch.setattr(SparseMat, "from_arrays", classmethod(_no_coo))
+        with pytest.raises(AssertionError, match="COO block build"):
+            build_blocks(inst, _all_s0(n))
+    else:
+        (block,) = build_blocks(inst, _all_s0(n)).values()
+        assert isinstance(block.mat, np.ndarray)
