@@ -245,10 +245,10 @@ def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 
         absm = np.abs(m)
         if not absm.any():
             return NormBound(0.0, 0.0, "exact-small")
-        if rows + cols <= _DENSE_CAP or (rows == cols <= _DENSE_CAP
-                                        and np.array_equal(m, m.T)):
+        symmetric = np.array_equal(m, m.T)
+        if rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP):
             l1 = max(absm.sum(axis=1).max(), absm.sum(axis=0).max()) * (1.0 + _ROUND_GUARD)
-            return _dense_sandwich(m, float(absm.max()), float(l1))
+            return _dense_sandwich(m, symmetric, float(absm.max()), float(l1))
         m = SparseMat.from_dense(m)
     op = m if op is None else op
     l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
@@ -257,8 +257,9 @@ def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 
     lower = m.abs_max()  # every entry is a lower bound on the norm
     if m.rows + m.cols <= _DENSE_CAP or (m.rows == m.cols and m.rows <= _DENSE_CAP):
         a = m.to_dense()
-        if m.rows + m.cols <= _DENSE_CAP or np.array_equal(a, a.T):
-            return _dense_sandwich(a, lower, l1)
+        symmetric = np.array_equal(a, a.T)
+        if symmetric or m.rows + m.cols <= _DENSE_CAP:
+            return _dense_sandwich(a, symmetric, lower, l1)
     dim = m.rows + m.cols
     starts = [np.ones(dim)]
     rng = np.random.Generator(np.random.Philox(key=restart_seed))
@@ -290,9 +291,9 @@ def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 
     return _sandwich(lower, cand, l1, "power-iteration-residual")
 
 
-def _dense_sandwich(a: np.ndarray, lower: float, l1: float) -> NormBound:
+def _dense_sandwich(a: np.ndarray, symmetric: bool, lower: float, l1: float) -> NormBound:
     """The dense path of ``spectral_norm``: lower is the largest |entry|, l1 the l1 bound."""
-    rayleigh, u = _dense_norm(a, np.array_equal(a, a.T))
+    rayleigh, u = _dense_norm(a, symmetric)
     return _sandwich(max(lower, rayleigh), u, l1, "dense-cholesky")
 
 

@@ -70,11 +70,11 @@ def test_spectral_norm_sandwiches_svd(rng):
         cols = int(rng.integers(1, 9))
         a = _random_sparse(rng, rows, cols)
         m = SparseMat.from_dense(a)
-        nb = spectral_norm(m)
         sigma = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert nb.lower <= sigma <= nb.upper
-        assert nb.upper <= l1_norm_bound(m) * (1 + 1e-11) + 1e-12
-        assert nb.upper - nb.lower <= 1e-6 * max(1.0, sigma)
+        for nb in (spectral_norm(m), spectral_norm(a)):  # sparse, and the dense array as it is
+            assert nb.lower <= sigma <= nb.upper
+            assert nb.upper <= l1_norm_bound(m) * (1 + 1e-11) + 1e-12
+            assert nb.upper - nb.lower <= 1e-6 * max(1.0, sigma)
 
 
 def test_spectral_norm_negative_entry():
@@ -85,8 +85,9 @@ def test_spectral_norm_negative_entry():
 
 
 def test_spectral_norm_zero_and_empty():
-    nb = spectral_norm(SparseMat.from_dense(np.zeros((2, 2))))
-    assert nb.lower == nb.upper == 0.0 and nb.method == "exact-small"
+    for zero in (np.zeros((2, 2)), SparseMat.from_dense(np.zeros((2, 2)))):
+        nb = spectral_norm(zero)
+        assert nb.lower == nb.upper == 0.0 and nb.method == "exact-small"
     empty = SparseMat.from_arrays(0, 4, [], [], [])
     assert spectral_norm(empty).upper == 0.0
 
@@ -122,6 +123,7 @@ def test_spectral_norm_power_path_above_the_cap(shape):
         a = a + a.T
     nb = spectral_norm(SparseMat.from_dense(a))
     sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert spectral_norm(a) == nb  # a dense array past the cap takes the same path
     assert nb.method == "power-iteration-residual"
     assert nb.lower <= sigma <= nb.upper
     assert nb.upper - nb.lower <= 1e-6 * sigma
