@@ -3,15 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from xorcert import SparseMat, l1_norm_bound, min_eig_check, spectral_norm
+from xorcert import l1_norm_bound, min_eig_check, spectral_norm
 
 rng = np.random.default_rng(0)
 
-# A sparse rectangular matrix with mixed signs.
-dense = rng.standard_normal((40, 25))
-dense[rng.random((40, 25)) > 0.15] = 0.0
-m = SparseMat.from_dense(dense)
-print("matrix:", m.rows, "x", m.cols, "with", len(m.v), "entries")
+# A sparse rectangular matrix with mixed signs, held as a dense array.
+m = rng.standard_normal((40, 25))
+m[rng.random((40, 25)) > 0.15] = 0.0
+print("matrix:", m.shape[0], "x", m.shape[1], "with", np.count_nonzero(m), "entries")
 
 # spectral_norm returns a sandwich [lower, upper] around sigma_max.  The lower
 # bound is a Rayleigh quotient at an explicit vector.  This matrix's dilation
@@ -21,7 +20,7 @@ print("matrix:", m.rows, "x", m.cols, "with", len(m.v), "entries")
 # above the cap use a residual-corrected power-iteration estimate instead.
 nb = spectral_norm(m)
 assert nb.method == "dense-cholesky"
-sigma = float(np.linalg.svd(dense, compute_uv=False)[0])
+sigma = float(np.linalg.svd(m, compute_uv=False)[0])
 print(f"certified: [{nb.lower:.6f}, {nb.upper:.6f}]  ({nb.method})")
 print(f"LAPACK svd: {sigma:.6f}")
 assert nb.lower <= sigma <= nb.upper
@@ -36,7 +35,7 @@ assert l1_norm_bound(m) >= sigma
 # symmetric array -- the form the dual certificates need -- with one Cholesky
 # of s + slack*I - c*I, where the shift c covers every rounding of the
 # factorization.  Prover and verifier both call it on the heavy side's Z(d).
-sym = dense[:25, :25] + dense[:25, :25].T + 10.0 * np.eye(25)
+sym = m[:25, :25] + m[:25, :25].T + 10.0 * np.eye(25)
 true_min = float(np.linalg.eigvalsh(sym)[0])
 print(f"min eigenvalue (eigh): {true_min:.6f}")
 assert min_eig_check(sym, 0.0)  # positive definite

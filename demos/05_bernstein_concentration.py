@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from xorcert import SparseMat, bernstein_tail, bernstein_threshold, spectral_norm
+from xorcert import bernstein_tail, bernstein_threshold, spectral_norm
 
 # bernstein_tail(sigma2, R, d1, d2, t) bounds P(||sum of independent, centered
 # d1 x d2 summands|| >= t) given a variance proxy sigma2 and a per-summand
@@ -28,7 +28,7 @@ for _ in range(trials):
     for _ in range(terms):
         i, j = rng.integers(0, dim, size=2)
         acc[i, j] += 2.0 * rng.integers(0, 2) - 1.0
-    if spectral_norm(SparseMat.from_dense(acc)).lower > t:
+    if spectral_norm(acc).lower > t:
         misses += 1
 print(f"empirical: {misses}/{trials} sums exceeded t = {t:.2f}",
       f"(bound allows {delta:.0%})")

@@ -26,22 +26,14 @@ class RefuteConfig:
     alpha_c: float = 1.0
     # total failure budget delta, split evenly over the (L+1)^2 blocks
     block_delta: float = 0.01
-    # certified spectral-norm power iteration
-    norm_tol: float = 1e-8
-    norm_max_iter: int = 1500
 
     def __post_init__(self) -> None:
-        for name in ("c_split", "alpha_c", "block_delta", "norm_tol"):
+        for name in ("c_split", "alpha_c", "block_delta"):
             value = getattr(self, name)
             if not _finite_real(value):
                 raise TypeError(f"config {name} must be a finite real number, got {value!r}")
-        max_iter = self.norm_max_iter
-        if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
-            raise TypeError(f"config norm_max_iter must be an int, got {max_iter!r}")
-        if max_iter < 1:
-            raise ValueError(f"config norm_max_iter must be at least 1, got {max_iter}")
-        if not (self.c_split > 0 and self.alpha_c > 0 and self.norm_tol > 0):
-            raise ValueError("config c_split, alpha_c and norm_tol must be positive")
+        if not (self.c_split > 0 and self.alpha_c > 0):
+            raise ValueError("config c_split and alpha_c must be positive")
         if not 0 < self.block_delta < 1:
             raise ValueError(f"config block_delta must lie in (0, 1), got {self.block_delta}")
 

@@ -1,17 +1,19 @@
-"""Sparse matrices with certified spectral bounds and matrix Bernstein tails.
+"""Certified spectral bounds, PSD checks and matrix Bernstein tails.
 
 PSD-ness is decided by one floating-point Cholesky with an a-priori rounding
 shift (``min_eig_check``).  The same check certifies spectral norm uppers:
-a matrix whose factored form has at most ``_DENSE_CAP`` rows gets u from one
-dense eigen or singular value solve, and u stands only if ``uI -+ M`` pass
-the check, so that upper is sound with rounding accounted for.  The row and
-column l1 bound (Gershgorin applied to the symmetric dilation) is sound at
-every size.  Above the cap the upper is a power-iteration Rayleigh quotient
-plus its residual norm, which bounds the distance to *some* eigenvalue, not
-to the largest, so it is not yet sound when the top singular values nearly
-coincide.  The iteration needs only the products M x and M^T y, which a
-caller may supply in factored form (the light side's blocks apply them
-through the Kronecker factors of the pair matrix).
+a matrix whose factored form has at most ``_DENSE_CAP`` rows is a dense
+array, which gets u from one dense eigen or singular value solve, and u
+stands only if ``uI -+ M`` pass the check, so that upper is sound with
+rounding accounted for.  The row and column l1 bound (Gershgorin applied to
+the symmetric dilation) is sound at every size.  Above the cap the matrix
+is a ``SparseMat``, the COO form that only the light side's large blocks
+use, and the upper is a power-iteration Rayleigh quotient plus its residual
+norm, which bounds the distance to *some* eigenvalue, not to the largest,
+so it is not yet sound when the top singular values nearly coincide.  The
+iteration needs only the products M x and M^T y, which a caller may supply
+in factored form (the light side's blocks apply them through the Kronecker
+factors of the pair matrix).
 """
 from __future__ import annotations
 
@@ -26,6 +28,11 @@ _ROUND_GUARD = 1e-12
 # symmetric, else its dilation) has at most this many rows: eigh plus two
 # Cholesky take 0.03 s at 361 rows, 0.5 s at 1000 and 3 s at 2000 (one thread)
 _DENSE_CAP = 1024
+# power iteration above the cap: relative gap to stop at, step limit, and the
+# Philox key of the random restart
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 1500
+_RESTART_SEED = 0x5EED
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +64,7 @@ class SparseMat:
         c = np.asarray(c, dtype=np.int64)
         v = np.asarray(v, dtype=np.float64)
         if len(r):
-            order = np.lexsort((c, r))
+            order = np.argsort(r * cols + c, kind="stable")  # by row, then column
             r, c, v = r[order], c[order], v[order]
             new_group = np.empty(len(r), dtype=bool)
             new_group[0] = True
@@ -87,9 +94,6 @@ class SparseMat:
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.c, weights=self.v * x[self.r], minlength=self.cols)
 
-    def transpose(self) -> "SparseMat":
-        return SparseMat.from_arrays(self.cols, self.rows, self.c, self.r, self.v)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
         np.add.at(out, (self.r, self.c), self.v)
@@ -118,8 +122,12 @@ class NormBound:
             raise ValueError(f"invalid norm bound [{self.lower}, {self.upper}]")
 
 
-def l1_norm_bound(m: SparseMat) -> float:
+def l1_norm_bound(m: SparseMat | np.ndarray) -> float:
     """max(max row l1, max col l1): a Gershgorin bound on the spectral norm."""
+    if isinstance(m, np.ndarray):
+        absm = np.abs(m)
+        return float(max(absm.sum(axis=1).max(initial=0.0),
+                         absm.sum(axis=0).max(initial=0.0)))
     if m.nnz == 0:
         return 0.0
     return float(max(m.row_l1().max(), m.col_l1().max()))
@@ -155,18 +163,19 @@ def _aligned_candidate(op, w: np.ndarray) -> tuple[float, float]:
     return abs(rho), res
 
 
-def _power_squared_run(op, w0: np.ndarray, max_iter: int, tol: float):
+def _power_squared_run(op, w0: np.ndarray):
     """Iterate w <- D^2 w / ||.||; returns (s_best, w) or None if w hit the kernel.
 
     Iterating the squared dilation avoids the sign oscillation of the
     indefinite dilation spectrum; s_best = sqrt(max ||D^2 w||) is a sound
     lower bound for the spectral norm at every step.  Stops once the certified
-    gap (|rho| + res) - s_best closes to tol, or the iteration fixes.
+    gap (|rho| + res) - s_best closes to ``_POWER_TOL``, or the iteration
+    fixes, or it has run ``_POWER_MAX_ITER`` steps.
     """
     w = w0 / np.linalg.norm(w0)
     s_best = 0.0
     prev = -1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         u = _dilation_apply(op, _dilation_apply(op, w))
         q = float(np.linalg.norm(u))
         if q == 0.0:
@@ -178,7 +187,7 @@ def _power_squared_run(op, w0: np.ndarray, max_iter: int, tol: float):
         prev = q
         if it % 25 == 0:
             rho_abs, res = _aligned_candidate(op, w)
-            if rho_abs + res - s_best <= tol * max(1.0, s_best):
+            if rho_abs + res - s_best <= _POWER_TOL * max(1.0, s_best):
                 break
     return s_best, w
 
@@ -217,57 +226,48 @@ def _dense_norm(a: np.ndarray, symmetric: bool) -> tuple[float, float | None]:
     return rayleigh, None
 
 
-def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 1500,
-                  restart_seed: int = 0x5EED, op=None) -> NormBound:
+def spectral_norm(m: SparseMat | np.ndarray, op=None) -> NormBound:
     """Two-sided spectral norm bound, upper = min(l1 bound, u).
 
-    m is a ``SparseMat`` or a dense array.  If M is exactly symmetric with
-    at most ``_DENSE_CAP`` rows, or its dilation has at most that many, u
-    comes from ``_dense_norm``, which is sound ("dense-cholesky"); when its
-    check fails the upper is the l1 bound ("schur-l1"), with no retry.  A
-    dense array takes this path as it is, with no sparse round trip; one too
-    large for it is converted to a ``SparseMat``.  Larger matrices run power iteration on the squared
-    dilation from a deterministic all-ones start plus one seeded random
-    restart (tol, max_iter and restart_seed steer only this path), and
-    u = |rho| + residual at the aligned final iterate, which is not yet sound
-    when the top singular values nearly coincide; this path rounds u up onto
-    a grid 2^-24 below the lower bound.  The iteration takes its products
-    M x and M^T y from op (default m itself): any object with ``rows``,
-    ``matvec`` and ``rmatvec`` that agree with m, such as a light-side
-    ``Block``, which applies them through Kronecker factors.  The lower bound
-    is the largest |entry| or the Rayleigh quotient of the top vector, less
-    a rounding guard; on both paths it is rounded down onto the grid, so
-    that its bytes do not follow the last digits of the eigen solve or of
-    the BLAS calls, whose order of summation follows the thread count.
+    m is a ``SparseMat`` or a dense array, and one rule (``_fits_dense``)
+    picks the path.  If M is exactly symmetric with at most ``_DENSE_CAP``
+    rows, or its dilation has at most that many, M goes dense: a
+    ``SparseMat`` is turned into an array, and u comes from ``_dense_norm``,
+    which is sound ("dense-cholesky"); when its check fails the upper is the
+    l1 bound ("schur-l1"), with no retry.  A larger M, an array turned into
+    a ``SparseMat``, runs power iteration on the squared dilation from a
+    deterministic all-ones start plus one seeded random restart, and
+    u = |rho| + residual at the aligned final iterate, which is not yet
+    sound when the top singular values nearly coincide; this path rounds u
+    up onto a grid 2^-24 below the lower bound.  The iteration takes its
+    products M x and M^T y from op (default m itself): any object with
+    ``rows``, ``matvec`` and ``rmatvec`` that agree with m, such as a
+    light-side ``Block``, which applies them through Kronecker factors.  The
+    lower bound is the largest |entry| or the Rayleigh quotient of the top
+    vector, less a rounding guard; on both paths it is rounded down onto the
+    grid, so that its bytes do not follow the last digits of the eigen solve
+    or of the BLAS calls, whose order of summation follows the thread count.
     """
+    if isinstance(m, SparseMat) and _fits_dense(m.rows, m.cols, m.rows == m.cols):
+        m = m.to_dense()  # a square one may be symmetric; its array decides
     if isinstance(m, np.ndarray):
-        rows, cols = m.shape
-        absm = np.abs(m)
-        if not absm.any():
-            return NormBound(0.0, 0.0, "exact-small")
         symmetric = np.array_equal(m, m.T)
-        if rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP):
-            l1 = max(absm.sum(axis=1).max(), absm.sum(axis=0).max()) * (1.0 + _ROUND_GUARD)
-            return _dense_sandwich(m, symmetric, float(absm.max()), float(l1))
+        if _fits_dense(*m.shape, symmetric):
+            return _dense_bound(m, symmetric)
         m = SparseMat.from_dense(m)
-    op = m if op is None else op
-    l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
     if m.nnz == 0:
         return NormBound(0.0, 0.0, "exact-small")
+    op = m if op is None else op
+    l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
     lower = m.abs_max()  # every entry is a lower bound on the norm
-    if m.rows + m.cols <= _DENSE_CAP or (m.rows == m.cols and m.rows <= _DENSE_CAP):
-        a = m.to_dense()
-        symmetric = np.array_equal(a, a.T)
-        if symmetric or m.rows + m.cols <= _DENSE_CAP:
-            return _dense_sandwich(a, symmetric, lower, l1)
     dim = m.rows + m.cols
     starts = [np.ones(dim)]
-    rng = np.random.Generator(np.random.Philox(key=restart_seed))
+    rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
     starts.append(rng.standard_normal(dim))
 
     best = None  # (s, w)
     for w0 in starts:
-        out = _power_squared_run(op, w0, max_iter, tol)
+        out = _power_squared_run(op, w0)
         if out is None:
             continue
         s, w = out
@@ -291,10 +291,18 @@ def spectral_norm(m: SparseMat | np.ndarray, tol: float = 1e-8, max_iter: int = 
     return _sandwich(lower, cand, l1, "power-iteration-residual")
 
 
-def _dense_sandwich(a: np.ndarray, symmetric: bool, lower: float, l1: float) -> NormBound:
-    """The dense path of ``spectral_norm``: lower is the largest |entry|, l1 the l1 bound."""
+def _fits_dense(rows: int, cols: int, symmetric: bool) -> bool:
+    """Whether the matrix that ``_dense_norm`` factors has at most ``_DENSE_CAP`` rows."""
+    return rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP)
+
+
+def _dense_bound(a: np.ndarray, symmetric: bool) -> NormBound:
+    """The dense path of ``spectral_norm``, with the largest |entry| as a lower bound."""
+    if not a.any():
+        return NormBound(0.0, 0.0, "exact-small")
     rayleigh, u = _dense_norm(a, symmetric)
-    return _sandwich(max(lower, rayleigh), u, l1, "dense-cholesky")
+    return _sandwich(max(float(np.abs(a).max()), rayleigh), u,
+                     l1_norm_bound(a) * (1.0 + _ROUND_GUARD), "dense-cholesky")
 
 
 def _grid(x: float) -> float:

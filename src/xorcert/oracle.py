@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from .instances import Assignment, KXorInstance, PartitionedInstance
-from .linalg import SparseMat
 
 
 def _clause_mask(vertices) -> np.uint64:
@@ -82,15 +81,15 @@ def brute_force_val(inst, cap: int = 24) -> tuple[Fraction, Assignment]:
     return Fraction(int(sat[best]), inst.m), Assignment(x=x, y=tuple(y))
 
 
-def brute_force_inf1(m: SparseMat, cap: int = 14) -> float:
-    """Exact max_{x,y in +/-1} x^T M y by enumerating the row side."""
-    if max(m.rows, m.cols) > cap:
-        raise ValueError(f"matrix side {max(m.rows, m.cols)} exceeds cap {cap}")
-    if m.rows == 0 or m.cols == 0 or m.nnz == 0:
+def brute_force_inf1(m: np.ndarray, cap: int = 14) -> float:
+    """Exact max_{x,y in +/-1} x^T M y of the dense array m by enumerating the row side."""
+    rows, cols = m.shape
+    if max(rows, cols) > cap:
+        raise ValueError(f"matrix side {max(rows, cols)} exceeds cap {cap}")
+    if not m.any():
         return 0.0
-    dense = m.to_dense()
-    idx = np.arange(1 << m.rows, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(m.rows, dtype=np.uint64)[None, :]) & np.uint64(1)
+    idx = np.arange(1 << rows, dtype=np.uint64)
+    bits = (idx[:, None] >> np.arange(rows, dtype=np.uint64)[None, :]) & np.uint64(1)
     signs = 1.0 - 2.0 * bits.astype(np.float64)
     # for fixed x the best y is sign(M^T x), giving sum_j |(M^T x)_j|
-    return float(np.abs(signs @ dense).sum(axis=1).max())
+    return float(np.abs(signs @ m).sum(axis=1).max())

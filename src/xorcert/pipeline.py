@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import KXorInstance, PartitionedInstance, canonical_json, instance_digest
-from .linalg import SparseMat, min_eig_check
+from .linalg import min_eig_check
 from .reduce import bipartite_matrix, decompose, kxor_to_partitioned
 from .sdp import DualCert, inf1_upper, two_xor_value, z_matrix
 from .spectral import certify_dbounded
@@ -102,11 +102,12 @@ def _side_mode(m_side: int, small: float, active: str) -> str:
     return active
 
 
-def _heavy_report(mat: SparseMat, dual: DualCert, eps_half: float, m2: int) -> dict:
+def _heavy_report(mat: np.ndarray, dual: DualCert, eps_half: float, m2: int) -> dict:
     """The heavy side's report: the dual's bound and the value bound it implies."""
     bound = dual.bound()
     val_upper, status = two_xor_value(bound, eps_half, m2)
-    return {"eps": eps_half, "rows": mat.rows, "cols": mat.cols, "status": status,
+    rows, cols = mat.shape
+    return {"eps": eps_half, "rows": rows, "cols": cols, "status": status,
             "bound": bound, "val_upper": val_upper, "dual": dual.to_json_dict()}
 
 
@@ -206,10 +207,10 @@ class _DualRejected(Exception):
     """The recorded heavy-side dual fails one of its checks."""
 
 
-def _checked_dual(data: dict, mat: SparseMat) -> DualCert:
+def _checked_dual(data: dict, mat: np.ndarray) -> DualCert:
     """Parse a recorded dual and check that it certifies Z(d) + slack*I PSD."""
     dual = DualCert.from_json_dict(data)  # non-finite entries raise ValueError
-    if len(dual.d_left) != mat.rows or len(dual.d_right) != mat.cols:
+    if (len(dual.d_left), len(dual.d_right)) != mat.shape:
         raise _DualRejected("dual certificate dimensions do not match")
     d = np.array(dual.d_left + dual.d_right, dtype=float)
     if dual.slack < 0 or (d < 0).any():

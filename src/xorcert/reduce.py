@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import KXorInstance, PartitionedInstance
-from .linalg import SparseMat
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,9 @@ def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> De
     return Decomposition(light=light, heavy=heavy, d_cap=d_cap, provenance=tuple(provenance))
 
 
-def bipartite_matrix(bip: BipartiteInstance) -> SparseMat:
-    """Signed biadjacency matrix: entry (left, right) sums constraint signs."""
+def bipartite_matrix(bip: BipartiteInstance) -> np.ndarray:
+    """Signed biadjacency matrix, dense: entry (left, right) sums constraint signs."""
     rows = np.array(bip.constraints, dtype=np.int64).reshape(-1, 3)
-    return SparseMat.from_arrays(len(bip.left_labels), bip.n_right,
-                                 rows[:, 0], rows[:, 1], rows[:, 2])
+    out = np.zeros((len(bip.left_labels), bip.n_right))
+    np.add.at(out, (rows[:, 0], rows[:, 1]), rows[:, 2])
+    return out

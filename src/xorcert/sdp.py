@@ -1,6 +1,7 @@
 """Dual diagonal certificates for the infinity-to-one norm of the heavy side.
 
-For M of shape (a, b) and d = (d_left, d_right) with
+M is the heavy side's bipartite matrix, a dense array.  For M of shape
+(a, b) and d = (d_left, d_right) with
 Z(d) = [[Diag(d_left), -M], [-M^T, Diag(d_right)]] >= -slack * I, every
 x in {+/-1}^a, y in {+/-1}^b satisfies
     x^T M y <= (sum d)/2 + slack * (a+b)/2,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseMat, min_eig_check, psd_shift
+from .linalg import min_eig_check, psd_shift
 
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -75,12 +76,12 @@ class DualCert:
         return cert
 
 
-def z_matrix(m: SparseMat, d: np.ndarray) -> np.ndarray:
+def z_matrix(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Assemble Z(d) = [[Diag(dL), -M], [-M^T, Diag(dR)]] as a dense array."""
-    a = m.rows
+    a = m.shape[0]
     z = np.diag(np.asarray(d, dtype=np.float64))
-    z[m.r, m.c + a] = -m.v  # SparseMat entries are merged, so no index repeats
-    z[m.c + a, m.r] = -m.v
+    z[:a, a:] = -m
+    z[a:, :a] = -m.T
     return z
 
 
@@ -92,7 +93,7 @@ def _rownorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return g
 
 
-def _mixing_solve(m: SparseMat) -> np.ndarray:
+def _mixing_solve(m: np.ndarray) -> np.ndarray:
     """Multipliers d that nearly minimize sum(d) subject to Z(d) PSD.
 
     The mixing method (Wang, Chang & Kolter, arXiv 1706.00476; Burer &
@@ -108,35 +109,34 @@ def _mixing_solve(m: SparseMat) -> np.ndarray:
     least eigenvalue.  A zero row or column of M gets d = 0.  Nothing here
     is trusted; ``_certify`` decides.
     """
-    a, b = m.rows, m.cols
-    dense = m.to_dense()
+    a, b = m.shape
     rank = math.ceil(math.sqrt(2 * (a + b))) + 1
     v = np.random.Generator(np.random.Philox(key=_MIX_KEY)).standard_normal((a + b, rank))
     v /= np.linalg.norm(v, axis=1)[:, None]
     v_left, v_right = v[:a], v[a:]
     for _ in range(_MIX_SWEEPS):
-        v_left = _rownorm(dense @ v_right, v_left)
-        moved, v_right = v_right, _rownorm(dense.T @ v_left, v_right)
+        v_left = _rownorm(m @ v_right, v_left)
+        moved, v_right = v_right, _rownorm(m.T @ v_left, v_right)
         if float(np.abs(v_right - moved).max(initial=0.0)) <= _MIX_TOL:
             break
-    d_left = np.linalg.norm(dense @ v_right, axis=1)
-    d_right = np.linalg.norm(dense.T @ v_left, axis=1)
+    d_left = np.linalg.norm(m @ v_right, axis=1)
+    d_right = np.linalg.norm(m.T @ v_left, axis=1)
     rows, cols = d_left > 0.0, d_right > 0.0
     if rows.any() and cols.any():
-        sub = dense[np.ix_(rows, cols)]
+        sub = m[np.ix_(rows, cols)]
         schur = np.diag(d_right[cols]) - sub.T @ (sub / d_left[rows, None])
         d_right[cols] -= float(np.linalg.eigvalsh(schur)[0])
     return np.concatenate([d_left, d_right])
 
 
-def _rounded(m: SparseMat, d: np.ndarray) -> DualCert:
+def _rounded(m: np.ndarray, d: np.ndarray) -> DualCert:
     """The dual certificate for d, before its PSD check.
 
     d is clamped at 0 and rounded up onto a grid 2^-24 below its largest
     entry, which keeps PSD-ness and drops the last digits that the BLAS
     thread count changes.  The slack, 4x the check's shift, lets a PSD Z(d) pass.
     """
-    a = m.rows
+    a = m.shape[0]
     d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
     q = 2.0 ** (math.frexp(float(d.max()))[1] - 24)
     d = np.ceil(d / q) * q
@@ -145,7 +145,7 @@ def _rounded(m: SparseMat, d: np.ndarray) -> DualCert:
                     slack=4.0 * psd_shift(d))
 
 
-def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
+def _certify(m: np.ndarray, d: np.ndarray) -> DualCert | None:
     """The dual certificate for d (see ``_rounded``), or None if Z(d) fails the PSD check."""
     cert = _rounded(m, d)
     if not min_eig_check(z_matrix(m, np.array(cert.d_left + cert.d_right)), cert.slack):
@@ -153,7 +153,7 @@ def _certify(m: SparseMat, d: np.ndarray) -> DualCert | None:
     return cert
 
 
-def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
+def inf1_upper(m: np.ndarray) -> tuple[float, DualCert]:
     """Certified upper bound on the infinity-to-one norm with its dual certificate.
 
     The candidates are d0 (the l1 row and column sums) and the mixing
@@ -164,7 +164,7 @@ def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
     Cholesky: the mixing d's alone when its bound is strictly below d0's,
     else d0's alone.
     """
-    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    d0 = np.concatenate([np.abs(m).sum(axis=1), np.abs(m).sum(axis=0)])
     mixed = _mixing_solve(m)
     if _rounded(m, mixed).bound() < _rounded(m, d0).bound():
         order = (mixed, d0)
@@ -175,34 +175,6 @@ def inf1_upper(m: SparseMat) -> tuple[float, DualCert]:
         if cert is not None:
             return cert.bound(), cert
     raise ValueError("neither dual passes the PSD check")
-
-
-def inf1_lower_round(m: SparseMat, trials: int = 32, seed: int = 0):
-    """Heuristic lower bound max x^T M y over sign vectors, via rounding + ascent."""
-    a, b = m.rows, m.cols
-    if m.nnz == 0 or a == 0 or b == 0:
-        return 0.0, np.ones(a), np.ones(b)
-
-    def ascent(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        x = np.where(m.matvec(y) >= 0, 1.0, -1.0)
-        val = float(x @ m.matvec(y))
-        for _ in range(100):
-            y2 = np.where(m.rmatvec(x) >= 0, 1.0, -1.0)
-            x2 = np.where(m.matvec(y2) >= 0, 1.0, -1.0)
-            v2 = float(x2 @ m.matvec(y2))
-            if v2 <= val + 1e-12:
-                break
-            val, x, y = v2, x2, y2
-        return val, x, y
-
-    best = ascent(np.ones(b))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(max(trials - 1, 0)):
-        y0 = np.where(rng.standard_normal(b) >= 0, 1.0, -1.0)
-        cand = ascent(y0)
-        if cand[0] > best[0]:
-            best = cand
-    return best
 
 
 def two_xor_value(bound: float, eps: float, m: int) -> tuple[float, str]:

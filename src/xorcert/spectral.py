@@ -13,14 +13,15 @@ vertex pairs: with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i),
 an exact identity (entries of M pair distinct constraint pairs only; the
 diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
-Each block is built explicitly, which gives its nnz and l1 bound.  A side
-with n^2 <= _DENSE_CAP pairs builds M once as a dense array and cuts every
-block from it, and all of them take the dense norm path; a larger side
-merges each block's entries into a ``SparseMat``.  Power iteration on a
-block above the dense cap takes its products from M's Kronecker factors
-(``PairFactors``) when they cost less than the block's entries, which
-holds for few parts with many edges each (4 sum_i t_i^2 >> ell n^3), and
-from the explicit block otherwise.
+Each block is built explicitly, which gives its nnz and l1 bound, from one
+list of M's terms.  A side with n^2 <= _DENSE_CAP pairs sums them into M
+as a dense array and cuts every block from it, and all of them take the
+dense norm path; a larger side merges them once into a ``SparseMat`` and
+cuts every block from its entries.  Power iteration on a block above the
+dense cap takes its products from M's Kronecker factors (``PairFactors``)
+when they cost less than the block's entries, which holds for few parts
+with many edges each (4 sum_i t_i^2 >> ell n^3), and from the explicit
+block otherwise.
 """
 from __future__ import annotations
 
@@ -149,7 +150,7 @@ class PairFactors:
     multiply-adds, whatever the block, against the 4 sum_i t_i^2 entries of
     the explicit matrix.  Parts with fewer than two edges contribute nothing
     and are left out; ``parts`` holds the others as (s_i, eu, ev, ew), which
-    the block builders also read.  The dense factors are built on the first
+    ``_pair_terms`` also reads.  The dense factors are built on the first
     product, so light sides whose blocks all take the dense norm path or
     the explicit product never build them.
     """
@@ -258,100 +259,78 @@ def _pair_factors(profile: DegreeProfile, mu: list[dict]) -> PairFactors:
     return PairFactors(profile.n, parts)
 
 
-def _dense_blocks(factors: PairFactors,
-                  partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
-    """Every block cut from the whole pair matrix, built dense (n^2 <= _DENSE_CAP).
+def _pair_terms(factors: PairFactors):
+    """Each part's e != f terms of M in part order, as (row pairs, column pairs, values).
 
-    K = sum_i s_i (A_i (x) A_i) is accumulated part by part: each pair of
-    oriented edges (p1, q1), (p2, q2) of part i adds (mu_i(e) mu_i(f)) s_i
-    at row p1 n + p2, column q1 n + q2, a position no other pair of the
-    part reaches.  So every entry is its part terms summed in part order,
-    with elementwise operations only: no BLAS call, whose bytes would follow
-    the thread count.  The e = f terms are exactly the entries at pairs
-    (u, u) x (v, v) and (u, v) x (v, u), which no e != f term reaches, so M
-    is K with those entries set to 0.  K takes n^4 <= 2^20 floats (8 MB),
-    and a part costs its 4 t_i^2 entries, as in the COO build.
+    Every ordered pair of distinct edges e, f of part i, each taken in both
+    orientations (p1, q1) and (p2, q2), adds mu_i(e) mu_i(f) s_i at row pair
+    p1 n + p2 and column pair q1 n + q2, a position that no other term of
+    the part reaches.  A part yields its 4 t_i (t_i - 1) terms at once.
+    The e = f terms, D_i, sit at pairs (u, u) x (v, v) and (u, v) x (v, u),
+    which no e != f term reaches, so leaving them out leaves those entries 0.
     """
     n = factors.n
-    kron = np.zeros((n, n, n, n))  # kron[p1, p2, q1, q2]
-    flat = kron.reshape(-1)
     for scale, eu, ev, ew in factors.parts:
+        edge = np.arange(2 * len(ew)) % len(ew)  # the edge of each orientation
+        distinct = edge[:, None] != edge[None, :]
         p, q, w = np.concatenate([eu, ev]), np.concatenate([ev, eu]), np.concatenate([ew, ew])
-        at = (p * n ** 3 + q * n)[:, None] + (p * n * n + q)[None, :]
-        term = np.multiply.outer(w, w)
-        term *= scale
-        flat[at.ravel()] += term.ravel()
-    u, v = np.indices((n, n))
-    kron[u, u, v, v] = 0.0
-    kron[u, v, v, u] = 0.0
-    pair_matrix = kron.reshape(n * n, n * n)
-    classes = partition.class_matrix().ravel()
-    members = [np.flatnonzero(classes == j) for j in range(partition.levels + 1)]
-    blocks: dict[tuple[int, int], Block] = {}
-    for j, rows in enumerate(members):
-        for k, cols in enumerate(members):
-            sub = pair_matrix[np.ix_(rows, cols)]
-            live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
-            if not live_rows.any():
-                continue
-            blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
-                                   row_pairs=rows[live_rows], col_pairs=cols[live_cols],
-                                   factors=factors)
-    return blocks
-
-
-def _coo_blocks(factors: PairFactors,
-                partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
-    """Every block as a ``SparseMat``, merged from the 4 sum_i t_i^2 entries."""
-    n = factors.n
-    cmat = partition.class_matrix()
-    acc: dict[tuple[int, int], list[np.ndarray]] = {}
-    for scale, eu, ev, ew in factors.parts:
-        count = len(ew)
-        ee, ff = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-        off = ee != ff
-        ee, ff = ee[off], ff[off]
-        vals = ew[ee] * ew[ff] * scale
-        for p_e, q_e in ((eu, ev), (ev, eu)):
-            for p_f, q_f in ((eu, ev), (ev, eu)):
-                p1, p2 = p_e[ee], p_f[ff]
-                q1, q2 = q_e[ee], q_f[ff]
-                jcls = cmat[p1, p2]
-                kcls = cmat[q1, q2]
-                rows = p1 * n + p2
-                cols = q1 * n + q2
-                jk = jcls * (partition.levels + 1) + kcls
-                for code in np.unique(jk):
-                    sel = jk == code
-                    key = (int(code) // (partition.levels + 1), int(code) % (partition.levels + 1))
-                    acc.setdefault(key, []).append(
-                        np.stack([rows[sel], cols[sel], vals[sel]]))
-    blocks: dict[tuple[int, int], Block] = {}
-    for key in sorted(acc):
-        stacked = np.concatenate(acc[key], axis=1)
-        rows, cols, vals = stacked[0].astype(np.int64), stacked[1].astype(np.int64), stacked[2]
-        row_pairs, row_idx = np.unique(rows, return_inverse=True)
-        col_pairs, col_idx = np.unique(cols, return_inverse=True)
-        mat = SparseMat.from_arrays(len(row_pairs), len(col_pairs), row_idx, col_idx, vals)
-        if mat.nnz == 0:
-            continue  # all entries cancelled
-        blocks[key] = Block(j=key[0], k=key[1], mat=mat, row_pairs=row_pairs,
-                            col_pairs=col_pairs, factors=factors)
-    return blocks
+        yield (np.add.outer(p * n, p)[distinct], np.add.outer(q * n, q)[distinct],
+               (np.multiply.outer(w, w) * scale)[distinct])
 
 
 def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
                        partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
-    """Dense blocks when the side has at most ``_DENSE_CAP`` pairs, else COO blocks.
+    """Every nonzero block of the pair matrix M, from the terms of ``_pair_terms``.
 
-    Every block of such a side takes the dense norm path: a diagonal block
-    is symmetric with at most |S_j| <= n^2 rows, and an off-diagonal block
-    has rows + cols <= |S_j| + |S_k| <= n^2.
+    A side with n^2 <= ``_DENSE_CAP`` pairs adds the terms into a dense M
+    part by part with ``np.add.at``, so each entry sums its terms in part
+    order with elementwise operations only: no BLAS call, whose bytes would
+    follow the thread count.  M takes n^4 <= 2^20 floats (8 MB), and each
+    block is cut from it with its all-zero rows and columns dropped.  Every
+    block of such a side takes the dense norm path: a diagonal block is
+    symmetric with at most |S_j| <= n^2 rows, and an off-diagonal block has
+    rows + cols <= |S_j| + |S_k| <= n^2.  A larger side merges the terms
+    once into a ``SparseMat``, which drops entries that cancel, and cuts
+    every block from the merged entries.  Either way a block's rows and
+    columns are the pairs where it has an entry.
     """
     factors = _pair_factors(profile, mu)
-    if profile.n ** 2 <= _DENSE_CAP:
-        return _dense_blocks(factors, partition)
-    return _coo_blocks(factors, partition)
+    if not factors.parts:
+        return {}
+    pairs = profile.n ** 2
+    classes = partition.class_matrix().ravel()
+    blocks: dict[tuple[int, int], Block] = {}
+    if pairs <= _DENSE_CAP:
+        pair_matrix = np.zeros(pairs * pairs)
+        for rows, cols, vals in _pair_terms(factors):
+            np.add.at(pair_matrix, rows * pairs + cols, vals)
+        pair_matrix = pair_matrix.reshape(pairs, pairs)
+        members = [np.flatnonzero(classes == j) for j in range(partition.levels + 1)]
+        for j, in_j in enumerate(members):
+            for k, in_k in enumerate(members):
+                sub = pair_matrix[np.ix_(in_j, in_k)]
+                live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
+                if live_rows.any():
+                    blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
+                                           row_pairs=in_j[live_rows],
+                                           col_pairs=in_k[live_cols], factors=factors)
+        return blocks
+    terms = (np.concatenate(arrays) for arrays in zip(*_pair_terms(factors)))
+    merged = SparseMat.from_arrays(pairs, pairs, *terms)
+    side = partition.levels + 1
+    codes = classes[merged.r] * side + classes[merged.c]
+    order = np.argsort(codes, kind="stable")  # keeps each block's entries in (row, col) order
+    ends = np.searchsorted(codes[order], np.arange(side * side + 1))
+    for code in range(side * side):
+        at = order[ends[code]:ends[code + 1]]
+        if len(at):
+            row_pairs, r = np.unique(merged.r[at], return_inverse=True)
+            col_pairs, c = np.unique(merged.c[at], return_inverse=True)
+            j, k = divmod(code, side)
+            mat = SparseMat.from_arrays(len(row_pairs), len(col_pairs), r, c, merged.v[at])
+            blocks[(j, k)] = Block(j=j, k=k, mat=mat, row_pairs=row_pairs,
+                                   col_pairs=col_pairs, factors=factors)
+    return blocks
 
 
 def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
@@ -521,8 +500,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         j, k = key
         size_j = partition.sizes[j]
         size_k = partition.sizes[k]
-        nb = spectral_norm(block.mat, tol=config.norm_tol, max_iter=config.norm_max_iter,
-                           op=block.power_op)
+        nb = spectral_norm(block.mat, op=block.power_op)
         contribution = block_contribution(size_j, size_k, nb.upper)
         sigma2 = block_variance_bound(partition, j, k)
         r_bound = block_r_bound(partition, j, k, d_used)

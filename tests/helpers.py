@@ -4,8 +4,8 @@ Each one recomputes, the slow and obvious way, something the library derives
 cleverly: the heavy/light split by repeated stripping, single blocks and
 single-part blocks of the canonical pair matrix, the potential Phi evaluated
 directly and through the blocks, the exact block variance norm, the heavy side
-pulled back to partitioned constraints, and the heavy side's bipartite
-relaxation optimum.
+pulled back to partitioned constraints, the heavy side's bipartite
+relaxation optimum, and a rounding lower bound on the infinity-to-one norm.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
-                     SparseMat, WeightClassPartition, bipartite_matrix, brute_force_inf1,
+                     WeightClassPartition, bipartite_matrix, brute_force_inf1,
                      brute_force_val, build_blocks, degree_profile, phi2_term)
+from xorcert.linalg import SparseMat
 from xorcert.spectral import Block, _accumulate_blocks, _kept_mu
 
 
@@ -218,9 +219,37 @@ def heavy_value_dominates(dec: Decomposition, cap: int = 24) -> bool:
     sub = heavy_sub_instance(dec)
     val_heavy, _ = brute_force_val(sub, cap=cap)
     mat = bipartite_matrix(dec.heavy)
-    if mat.rows > mat.cols:
-        mat = mat.transpose()
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
     pmn = brute_force_inf1(mat)
     m2 = dec.heavy.m
     val_bip = Fraction(m2 + round(pmn), 2 * m2)  # integer matrix, so pmn is integral
     return val_bip >= val_heavy
+
+
+def inf1_lower_round(m: np.ndarray, trials: int = 32, seed: int = 0):
+    """Heuristic lower bound max x^T M y over sign vectors, via rounding + ascent."""
+    a, b = m.shape
+    if not m.any():
+        return 0.0, np.ones(a), np.ones(b)
+
+    def ascent(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        x = np.where(m @ y >= 0, 1.0, -1.0)
+        val = float(x @ (m @ y))
+        for _ in range(100):
+            y2 = np.where(m.T @ x >= 0, 1.0, -1.0)
+            x2 = np.where(m @ y2 >= 0, 1.0, -1.0)
+            v2 = float(x2 @ (m @ y2))
+            if v2 <= val + 1e-12:
+                break
+            val, x, y = v2, x2, y2
+        return val, x, y
+
+    best = ascent(np.ones(b))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(max(trials - 1, 0)):
+        y0 = np.where(rng.standard_normal(b) >= 0, 1.0, -1.0)
+        cand = ascent(y0)
+        if cand[0] > best[0]:
+            best = cand
+    return best

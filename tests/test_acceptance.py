@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import dupfree_partitioned
-from helpers import phi1_from_blocks, phi_direct
+from helpers import inf1_lower_round, phi1_from_blocks, phi_direct
 from xorcert import (
     Certificate,
     GenSpec,
     PartitionedInstance,
     REFUTED,
-    SparseMat,
     bernstein_tail,
     bernstein_threshold,
     brute_force_inf1,
@@ -35,7 +34,6 @@ from xorcert import (
     dup_correction,
     gen_kxor,
     gen_random_partitioned,
-    inf1_lower_round,
     inf1_upper,
     kxor_to_partitioned,
     l1_norm_bound,
@@ -47,6 +45,7 @@ from xorcert import (
     verify_certificate_detailed,
     weight_classes,
 )
+from xorcert.linalg import SparseMat
 from xorcert.spectral import build_blocks
 
 
@@ -170,10 +169,9 @@ def test_criterion_05_inf1_sandwich():
         rows = int(gen.integers(1, 7))
         cols = int(gen.integers(1, 7))
         a = (2 * gen.integers(0, 2, size=(rows, cols)) - 1).astype(float)
-        m = SparseMat.from_dense(a)
-        truth = brute_force_inf1(m)
-        upper, _ = inf1_upper(m)
-        lower, _, _ = inf1_lower_round(m)
+        truth = brute_force_inf1(a)
+        upper, _ = inf1_upper(a)
+        lower, _, _ = inf1_lower_round(a)
         assert lower <= truth + 1e-9, f"matrix {i}: rounded lower {lower} > brute {truth}"
         assert truth <= upper + 1e-9, f"matrix {i}: brute {truth} > certified {upper}"
         ratios.append(upper / truth)

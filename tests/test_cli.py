@@ -222,8 +222,8 @@ def test_experiment_validation(workdir):
 
 
 @pytest.mark.parametrize("config", [
-    {"norm_max_iter": "1500"},
-    {"norm_max_iter": True},
+    {"alpha_c": "1"},
+    {"block_delta": True},
     {"c_split": "4"},
     {"c_split": 1e308},
 ])

@@ -8,12 +8,13 @@ from xorcert import DEFAULT_CONFIG, RefuteConfig
 
 # keys that earlier versions wrote into configs and certificates
 REMOVED_KEYS = ["sdp_budget", "sdp_eta0", "sdp_barrier_dim_cap", "round_trials",
-                "seed", "kg_target", "loose_factor", "brute_cap", "psd_slack_rel"]
+                "seed", "kg_target", "loose_factor", "brute_cap", "psd_slack_rel",
+                "norm_tol", "norm_max_iter"]
 
 
 def test_config_fields():
     assert list(DEFAULT_CONFIG.to_json_dict()) == [
-        "c_split", "alpha_c", "block_delta", "norm_tol", "norm_max_iter"]
+        "c_split", "alpha_c", "block_delta"]
     assert RefuteConfig.from_json_dict(DEFAULT_CONFIG.to_json_dict()) == DEFAULT_CONFIG
 
 
@@ -25,10 +26,9 @@ def test_from_json_dict_rejects_removed_key(key):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("norm_max_iter", "1500"), ("norm_max_iter", True), ("norm_max_iter", 1500.0),
-    ("norm_max_iter", 0), ("c_split", "4"), ("c_split", True), ("c_split", None),
+    ("c_split", "4"), ("c_split", True), ("c_split", None),
     ("c_split", math.nan), ("c_split", math.inf), ("c_split", 0.0), ("c_split", -4.0),
-    ("c_split", 10 ** 400), ("alpha_c", 0.0), ("norm_tol", -1e-8), ("block_delta", 1.0),
+    ("c_split", 10 ** 400), ("alpha_c", 0.0), ("block_delta", 1.0),
     ("block_delta", 0.0),
 ])
 def test_config_rejects_bad_value(field, value):
@@ -37,5 +37,5 @@ def test_config_rejects_bad_value(field, value):
 
 
 def test_config_accepts_boundary_values():
-    config = RefuteConfig(c_split=4, norm_max_iter=1)
+    config = RefuteConfig(c_split=4)
     assert RefuteConfig.from_json_dict(config.to_json_dict()) == config

@@ -80,14 +80,14 @@ def test_subset_dictionary_validation():
 
 
 def test_bipartite_matrix_sums_signs():
-    # repeated rows add up, opposite signs cancel, and a cancelled entry is dropped
+    # repeated rows add up, and opposite signs cancel to a zero entry
     bip = BipartiteInstance(left_labels=((0, 0), (1, 2)), n_right=4, constraints=(
         (0, 1, 1), (0, 1, 1), (1, 3, -1), (1, 2, 1), (1, 2, -1)))
     mat = bipartite_matrix(bip)
-    assert (mat.rows, mat.cols, mat.nnz) == (2, 4, 2)
-    np.testing.assert_array_equal(mat.to_dense(), [[0, 2, 0, 0], [0, 0, 0, -1]])
+    assert (*mat.shape, np.count_nonzero(mat)) == (2, 4, 2)
+    np.testing.assert_array_equal(mat, [[0, 2, 0, 0], [0, 0, 0, -1]])
     empty = bipartite_matrix(BipartiteInstance(left_labels=(), n_right=3, constraints=()))
-    assert (empty.rows, empty.cols, empty.nnz) == (0, 3, 0)
+    assert (*empty.shape, np.count_nonzero(empty)) == (0, 3, 0)
 
 
 def _heavy_multiset(dec):
@@ -149,7 +149,7 @@ def test_heavy_sub_instance_round_trip():
     assert sub is not None and sub.m == dec.m_heavy
     assert Counter(sub.constraints) == _heavy_multiset(dec)
     mat = bipartite_matrix(dec.heavy)
-    assert mat.rows == len(dec.heavy.left_labels) and mat.cols == dec.heavy.n_right
+    assert mat.shape == (len(dec.heavy.left_labels), dec.heavy.n_right)
 
 
 def test_heavy_sub_instance_none_when_all_light():

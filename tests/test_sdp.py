@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import xorcert.sdp
+from helpers import inf1_lower_round
 from xorcert import (
     REFUTED,
     UNKNOWN,
@@ -11,11 +12,9 @@ from xorcert import (
     GenSpec,
     KG_UPPER,
     PartitionedInstance,
-    SparseMat,
     brute_force_inf1,
     gen_kxor,
     gen_random_partitioned,
-    inf1_lower_round,
     inf1_upper,
     min_eig_check,
     refute_kxor,
@@ -27,7 +26,7 @@ from xorcert.sdp import _certify, _mixing_solve
 
 
 def test_z_matrix_assembly():
-    m = SparseMat.from_dense([[1.0, -2.0], [0.0, 3.0]])
+    m = np.array([[1.0, -2.0], [0.0, 3.0]])
     d = np.array([4.0, 5.0, 6.0, 7.0])
     z = z_matrix(m, d)
     expect = np.array([
@@ -65,8 +64,7 @@ def test_inf1_upper_sandwich(seed):
     gen = np.random.default_rng(seed)
     rows = int(gen.integers(1, 7))
     cols = int(gen.integers(1, 7))
-    a = gen.integers(-1, 2, size=(rows, cols)).astype(float)
-    m = SparseMat.from_dense(a)
+    m = gen.integers(-1, 2, size=(rows, cols)).astype(float)
     bound, cert = inf1_upper(m)
     truth = brute_force_inf1(m)
     assert bound >= truth - 1e-9
@@ -81,7 +79,7 @@ def test_inf1_upper_sandwich(seed):
 
 def test_inf1_upper_zero_matrix():
     # d = 0 with a subnormal slack: the dual the verifier's PSD check accepts
-    m = SparseMat.from_dense(np.zeros((2, 3)))
+    m = np.zeros((2, 3))
     bound, cert = inf1_upper(m)
     assert 0.0 < bound < 1e-300 and bound == cert.bound()
     d = np.array(cert.d_left + cert.d_right)
@@ -90,7 +88,7 @@ def test_inf1_upper_zero_matrix():
 
 
 def test_inf1_upper_single_entry_is_tight():
-    bound, _ = inf1_upper(SparseMat.from_dense([[-3.0]]))
+    bound, _ = inf1_upper(np.array([[-3.0]]))
     assert bound == pytest.approx(3.0, rel=1e-6)
 
 
@@ -99,8 +97,7 @@ def test_inf1_upper_near_optimal_on_sign_matrices():
     ratios = []
     for seed in range(20):
         gen = np.random.default_rng(seed)
-        a = (2 * gen.integers(0, 2, size=(5, 5)) - 1).astype(float)
-        m = SparseMat.from_dense(a)
+        m = (2 * gen.integers(0, 2, size=(5, 5)) - 1).astype(float)
         bound, _ = inf1_upper(m)
         ratios.append(bound / brute_force_inf1(m))
     assert all(r >= 1.0 - 1e-9 for r in ratios)
@@ -109,8 +106,7 @@ def test_inf1_upper_near_optimal_on_sign_matrices():
 
 def test_inf1_upper_non_square_certifies():
     gen = np.random.default_rng(0)
-    a = gen.integers(-1, 2, size=(5, 6)).astype(float)
-    m = SparseMat.from_dense(a)
+    m = gen.integers(-1, 2, size=(5, 6)).astype(float)
     bound, cert = inf1_upper(m)
     truth = brute_force_inf1(m)
     assert truth - 1e-9 <= bound
@@ -123,9 +119,9 @@ def test_d0_certifies_at_2000_dims():
     gen = np.random.default_rng(0)
     rows, cols, per_row = 1200, 900, 5
     flat = gen.choice(rows * cols, size=rows * per_row, replace=False)
-    m = SparseMat.from_arrays(rows, cols, flat // cols, flat % cols,
-                              gen.choice([-1.0, 1.0], size=flat.size))
-    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    m = np.zeros((rows, cols))
+    m.flat[flat] = gen.choice([-1.0, 1.0], size=flat.size)
+    d0 = np.concatenate([np.abs(m).sum(axis=1), np.abs(m).sum(axis=0)])
     cert = _certify(m, d0)
     assert cert is not None
     assert cert.d_left + cert.d_right == tuple(d0)  # integer d0 is already on the grid
@@ -141,7 +137,7 @@ def test_inf1_upper_is_exact_on_a_hadamard_matrix():
     h = np.array([[1.0]])
     for _ in range(4):
         h = np.block([[h, h], [h, -h]])
-    bound, cert = inf1_upper(SparseMat.from_dense(h))
+    bound, cert = inf1_upper(h)
     assert bound == cert.bound()
     assert 64.0 - 1e-9 <= bound <= 64.0 * (1.0 + 1e-6)
 
@@ -154,13 +150,13 @@ def test_inf1_upper_ignores_signs_and_order(seed):
     flip_r = gen.choice([-1.0, 1.0], size=60)
     flip_c = gen.choice([-1.0, 1.0], size=12)
     moved = (flip_r[:, None] * a * flip_c)[np.ix_(gen.permutation(60), gen.permutation(12))]
-    bound, _ = inf1_upper(SparseMat.from_dense(a))
-    moved_bound, _ = inf1_upper(SparseMat.from_dense(moved))
+    bound, _ = inf1_upper(a)
+    moved_bound, _ = inf1_upper(moved)
     assert abs(moved_bound - bound) <= 1e-9 * bound
 
 
 def test_inf1_upper_is_deterministic():
-    m = SparseMat.from_dense(_sign_matrix(0, 30, 9))
+    m = _sign_matrix(0, 30, 9)
     first, second = inf1_upper(m), inf1_upper(m)
     assert first == second
 
@@ -168,17 +164,17 @@ def test_inf1_upper_is_deterministic():
 def test_a_solve_cut_short_still_certifies(monkeypatch):
     # the Schur-complement shift puts unconverged multipliers onto the PSD
     # boundary, so a capped solve loses tightness, not the certificate
-    m = SparseMat.from_dense(_sign_matrix(0, 60, 12))
+    m = _sign_matrix(0, 60, 12)
     converged, _ = inf1_upper(m)
     monkeypatch.setattr(xorcert.sdp, "_MIX_SWEEPS", 3)
     cert = _certify(m, _mixing_solve(m))
-    d0 = np.concatenate([m.row_l1(), m.col_l1()])
+    d0 = np.concatenate([np.abs(m).sum(axis=1), np.abs(m).sum(axis=0)])
     assert cert is not None
     assert converged < cert.bound() < 0.5 * _certify(m, d0).bound()
 
 
 def _failing_solve(m):
-    return np.zeros(m.rows + m.cols)  # Z(0) = [[0, -M], [-M^T, 0]] is not PSD
+    return np.zeros(sum(m.shape))  # Z(0) = [[0, -M], [-M^T, 0]] is not PSD
 
 
 @pytest.mark.parametrize("a, solve, checks", [
@@ -190,11 +186,10 @@ def _failing_solve(m):
 def test_inf1_upper_checks_the_smaller_bound_first(monkeypatch, a, solve, checks):
     # the choice and its bytes are those of checking both duals and taking
     # the smaller passing bound, d0 on a tie; the usual case runs one Cholesky
-    m = SparseMat.from_dense(a)
     if solve is not None:
         monkeypatch.setattr(xorcert.sdp, "_mixing_solve", solve)
-    d0 = np.concatenate([m.row_l1(), m.col_l1()])
-    both = [_certify(m, d) for d in (d0, xorcert.sdp._mixing_solve(m))]
+    d0 = np.concatenate([np.abs(a).sum(axis=1), np.abs(a).sum(axis=0)])
+    both = [_certify(a, d) for d in (d0, xorcert.sdp._mixing_solve(a))]
     expected = min((cert for cert in both if cert is not None), key=DualCert.bound)
     calls = []
 
@@ -203,16 +198,15 @@ def test_inf1_upper_checks_the_smaller_bound_first(monkeypatch, a, solve, checks
         return min_eig_check(*args)
 
     monkeypatch.setattr(xorcert.sdp, "min_eig_check", counted)
-    bound, cert = inf1_upper(m)
+    bound, cert = inf1_upper(a)
     assert len(calls) == checks
     assert cert.to_json_dict() == expected.to_json_dict() and bound == expected.bound()
 
 
 def test_zero_rows_and_columns_get_zero_multipliers():
-    a = _sign_matrix(1, 8, 6)
-    a[3] = 0.0
-    a[:, 4] = 0.0
-    m = SparseMat.from_dense(a)
+    m = _sign_matrix(1, 8, 6)
+    m[3] = 0.0
+    m[:, 4] = 0.0
     d = _mixing_solve(m)
     assert d[3] == 0.0 and d[8 + 4] == 0.0
     assert (np.delete(d, [3, 8 + 4]) > 0).all()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xorcert.spectral
 from conftest import dupfree_partitioned
 from helpers import (block_dense, build_block, build_part_block, empirical_variance_norm,
                      phi1_direct, phi1_from_blocks, phi_direct)
@@ -14,7 +15,6 @@ from xorcert import (
     ButterflyTable,
     PartitionedInstance,
     RefuteConfig,
-    SparseMat,
     WeightClassPartition,
     block_r_bound,
     block_variance_bound,
@@ -29,8 +29,8 @@ from xorcert import (
     spectral_norm,
     weight_classes,
 )
-from xorcert.linalg import _DENSE_CAP
-from xorcert.spectral import _coo_blocks, _dense_blocks, _kept_mu, _pair_factors
+from xorcert.linalg import _DENSE_CAP, SparseMat
+from xorcert.spectral import _accumulate_blocks, _kept_mu
 
 
 def _signs(rng, n):
@@ -211,19 +211,25 @@ def _on_all_pairs(blocks, n):
 @example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5)
 def test_dense_and_coo_builders_agree(inst, alpha_c):
     # the dense build, which every side with n^2 <= _DENSE_CAP takes, and the
-    # COO build of larger sides give the same blocks on the same supports
+    # sparse merge of larger sides give the same blocks on the same supports:
+    # a row or column whose entries all cancel is in neither
     profile = degree_profile(inst)
     if alpha_c is None:
         partition = _all_s0(inst.n)
     else:
         partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
                                    m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
-    factors = _pair_factors(profile, _kept_mu(inst, profile))
-    dense_blocks = _dense_blocks(factors, partition)
-    coo_blocks = _coo_blocks(factors, partition)
+    mu = _kept_mu(inst, profile)
+    dense_blocks = _accumulate_blocks(profile, mu, partition)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(xorcert.spectral, "_DENSE_CAP", 0)
+        coo_blocks = _accumulate_blocks(profile, mu, partition)
     assert sorted(dense_blocks) == sorted(coo_blocks)
     assert all(isinstance(b.mat, np.ndarray) for b in dense_blocks.values())
     assert all(isinstance(b.mat, SparseMat) for b in coo_blocks.values())
+    for key in dense_blocks:
+        np.testing.assert_array_equal(dense_blocks[key].row_pairs, coo_blocks[key].row_pairs)
+        np.testing.assert_array_equal(dense_blocks[key].col_pairs, coo_blocks[key].col_pairs)
     dense_full = _on_all_pairs(dense_blocks, inst.n)
     coo_full = _on_all_pairs(coo_blocks, inst.n)
     for key in dense_blocks:
