@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,43 @@ def test_generate_reduce_decompose_refute_verify_round_trip(workdir):
 
     assert run("verify", "--inst", phi, "--cert", cert) == 0
     assert run("verify", "--inst", phi, "--cert", cert, "--brute") == 0
+
+
+# SHA-256 of the files `reduce` and `decompose` write for seeded draws,
+# recorded with numpy 2.4.6.  The subset dictionary keeps first-seen order and
+# decompose keeps constraint order, so a change to how either is computed must
+# keep these bytes.
+REDUCE_SHA = {  # k: (reduced instance, dictionary sidecar)
+    4: ("0a50870c9512a9f9fac27df732a827e3e958def72ff59964983578f2708be870",
+        "a0cd65f05029144a52a17928760307ba1fe3fba8d4931f7307ddd1fcd5b72339"),
+    6: ("86589cdd97683c337d1ebeb29956fed5c8c81c9d78d733a85f5a24706477785c",
+        "e6a6e7ba7371435400cff15f18ebfdba289ff76dd17c0eabede550079a0cba28"),
+}
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(REDUCE_SHA))
+def test_reduce_outputs_are_pinned(workdir, k):
+    # half-subsets of size 2 and 3, each seen first at a different clause
+    phi = workdir / "phi.json"
+    psi = workdir / "psi.json"
+    assert run("generate", "--kind", "random", "--n", 10, "--m", 300,
+               "--seed", 5, "--k", k, "-o", phi) == 0
+    assert run("reduce", "--in", phi, "-o", psi) == 0
+    assert (_sha(psi), _sha(workdir / "psi.json.dict.json")) == REDUCE_SHA[k]
+
+
+def test_decompose_output_is_pinned(workdir):
+    # three heavy groups (146 constraints) and 454 light ones, provenance included
+    inst = workdir / "inst.json"
+    dec = workdir / "dec.json"
+    assert run("generate", "--kind", "p2xor", "--n", 10, "--m", 600,
+               "--seed", 5, "--ell", 3, "-o", inst) == 0
+    assert run("decompose", "--in", inst, "--eps", 0.3, "-o", dec) == 0
+    assert _sha(dec) == "afceb2c7b64dc083e6e1e6da436ab3bc0ae97d9a83c86225220d07dcbdcd3377"
 
 
 def test_refute_unknown_exit_code(workdir):
