@@ -12,8 +12,8 @@ for kind in sorted(FAMILIES):
     a = gen_kxor(GenSpec(kind=kind, n=12, m=300, seed=0, k=3))
     b = gen_kxor(GenSpec(kind=kind, n=12, m=300, seed=1, k=3))
     if kind != "random":
-        assert a.clauses == b.clauses
-    assert a.signs != b.signs
+        assert a.clauses.tolist() == b.clauses.tolist()
+    assert a.signs.tolist() != b.signs.tolist()
     vals = [float(brute_force_val(gen_kxor(GenSpec(kind=kind, n=12, m=300,
                                                    seed=s, k=3)))[0])
             for s in range(5)]
@@ -27,7 +27,7 @@ assert all(0 in cl for cl in star.clauses)
 # heavy-group: a block of clauses shares its first two vertices
 grouped = gen_kxor(GenSpec(kind="heavy-group", n=12, m=300, seed=0, k=3,
                            params={"group_size": 40}))
-shared = [cl for cl in grouped.clauses if cl[:2] == grouped.clauses[0][:2]]
+shared = [cl for cl in grouped.clauses.tolist() if cl[:2] == grouped.clauses[0][:2].tolist()]
 print("heavy-group: clauses sharing a pair:", len(shared))
 assert len(shared) >= 40
 

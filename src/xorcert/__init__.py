@@ -21,8 +21,8 @@ from .reduce import (BipartiteInstance, Decomposition, ReducedKXor,
 from .sdp import KG_UPPER, DualCert, inf1_upper, z_matrix
 from .spectral import (Block, BlockRecord, ButterflyTable, DBoundedReport,
                        WeightClassPartition, block_r_bound, block_variance_bound,
-                       build_blocks, butterfly, certify_dbounded, dup_correction,
-                       phi2_term, weight_classes)
+                       butterfly, certify_dbounded, dup_correction, phi2_term,
+                       weight_classes)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "ReducedKXor", "RefuteConfig", "SCHEMA", "SubsetDictionary", "UNKNOWN",
     "WeightClassPartition", "bernstein_tail", "bernstein_threshold", "bias",
     "bipartite_matrix", "block_r_bound", "block_variance_bound",
-    "brute_force_inf1", "brute_force_val", "build_blocks", "butterfly",
+    "brute_force_inf1", "brute_force_val", "butterfly",
     "canonical_json", "certify_dbounded", "decompose", "degree_profile",
     "dup_correction", "eval_kxor", "eval_partitioned", "from_json_dict",
     "gen_adversarial_hypergraph", "gen_kxor", "gen_random_partitioned",

@@ -16,6 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .generate import FAMILIES, GenSpec, gen_kxor, gen_random_partitioned
 from .instances import (KXorInstance, PartitionedInstance, instance_digest,
@@ -108,6 +110,15 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _provenance_json(dec) -> list:
+    """Per constraint, ["light"] or ["heavy", part, vertex] of its group."""
+    tags = np.empty(len(dec.heavy.left_labels) + 1, dtype=object)
+    tags[0] = ["light"]
+    for i, label in enumerate(dec.heavy.left_labels.tolist(), start=1):
+        tags[i] = ["heavy", *label]
+    return tags[dec.provenance + 1].tolist()
+
+
 def cmd_decompose(args) -> int:
     """Split a partitioned instance into light/heavy sides at the degree cap."""
     inst = _load_instance(args.infile)
@@ -122,11 +133,11 @@ def cmd_decompose(args) -> int:
         "m_heavy": dec.m_heavy,
         "light": to_json_dict(dec.light),
         "heavy": {
-            "left_labels": [list(lbl) for lbl in dec.heavy.left_labels],
+            "left_labels": dec.heavy.left_labels.tolist(),
             "n_right": dec.heavy.n_right,
-            "constraints": [list(c) for c in dec.heavy.constraints],
+            "constraints": dec.heavy.constraints.tolist(),
         },
-        "provenance": [list(p) for p in dec.provenance],
+        "provenance": _provenance_json(dec),
     })
     print(f"decomposed m={inst.m} at d_cap={dec.d_cap}: "
           f"m_light={dec.m_light} m_heavy={dec.m_heavy} -> {args.out}")

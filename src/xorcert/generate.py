@@ -43,8 +43,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _random_signs(m: int, seed: int) -> tuple[int, ...]:
-    return tuple(int(s) for s in 2 * _rng(seed).integers(0, 2, size=m) - 1)
+def _draw_sorted(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """m rows of k distinct vertices from range(n), one Philox draw per row, each sorted."""
+    rows = np.array([rng.choice(n, size=k, replace=False) for _ in range(m)], dtype=np.int64)
+    return np.sort(rows.reshape(m, k), axis=1)
 
 
 def _require_k(spec: GenSpec) -> int:
@@ -61,44 +63,35 @@ def gen_random_kxor(spec: GenSpec) -> KXorInstance:
     """Fully random k-XOR: uniform k-subsets and uniform signs."""
     k = _require_k(spec)
     rng = _rng(spec.seed)
-    clauses = tuple(
-        tuple(sorted(int(v) for v in rng.choice(spec.n, size=k, replace=False)))
-        for _ in range(spec.m)
-    )
-    signs = tuple(int(s) for s in 2 * rng.integers(0, 2, size=spec.m) - 1)
+    clauses = _draw_sorted(rng, spec.n, k, spec.m)
+    signs = 2 * rng.integers(0, 2, size=spec.m) - 1
     return KXorInstance(n=spec.n, k=k, clauses=clauses, signs=signs)
 
 
-def _star_clauses(n: int, k: int, m: int) -> list[tuple[int, ...]]:
+def _star_clauses(n: int, k: int, m: int) -> np.ndarray:
     # every clause contains vertex 0; the rest walk a fixed cycle over [1, n)
-    clauses = []
-    for j in range(m):
-        rest = [1 + (j * (k - 1) + t) % (n - 1) for t in range(k - 1)]
-        clauses.append(tuple(sorted([0] + rest)))
-    return clauses
+    rest = 1 + (np.arange(m)[:, None] * (k - 1) + np.arange(k - 1)) % (n - 1)
+    return np.sort(np.column_stack([np.zeros(m, dtype=np.int64), rest]), axis=1)
 
 
-def _heavy_group_clauses(n: int, k: int, m: int, group_size: int) -> list[tuple[int, ...]]:
+def _heavy_group_clauses(n: int, k: int, m: int, group_size: int) -> np.ndarray:
     # group clauses share their first k-1 vertices, so after reduction they all
     # meet one subset group; remaining clauses are a seed-independent background
     if group_size < 1 or group_size > m:
         raise ValueError("group_size must lie in [1, m]")
     if n < k + 1:
         raise ValueError("heavy-group family needs n >= k + 1")
-    base = tuple(range(k - 1))
-    clauses = [tuple(sorted(base + (k - 1 + (j % (n - k + 1)),))) for j in range(group_size)]
-    rng = _rng(_BACKGROUND_KEY)
-    for _ in range(m - group_size):
-        clauses.append(tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False))))
-    return clauses
+    last = k - 1 + np.arange(group_size) % (n - k + 1)
+    group = np.column_stack([np.broadcast_to(np.arange(k - 1), (group_size, k - 1)), last])
+    return np.concatenate([group, _draw_sorted(_rng(_BACKGROUND_KEY), n, k, m - group_size)])
 
 
-def _clustered_clauses(n: int, k: int, m: int, cluster_size: int) -> list[tuple[int, ...]]:
+def _clustered_clauses(n: int, k: int, m: int, cluster_size: int) -> np.ndarray:
     # all clauses inside a small vertex cluster, cycling its k-subsets
     if cluster_size < k or cluster_size > n:
         raise ValueError("cluster_size must lie in [k, n]")
-    cycle = itertools.cycle(itertools.combinations(range(cluster_size), k))
-    return [tuple(next(cycle)) for _ in range(m)]
+    subsets = np.array(list(itertools.islice(itertools.combinations(range(cluster_size), k), m)))
+    return subsets[np.arange(m) % len(subsets)]
 
 
 def gen_adversarial_hypergraph(spec: GenSpec) -> KXorInstance:
@@ -116,7 +109,8 @@ def gen_adversarial_hypergraph(spec: GenSpec) -> KXorInstance:
         clauses = _clustered_clauses(spec.n, k, spec.m, cluster_size)
     else:
         raise ValueError(f"unknown adversarial family {spec.kind!r}")
-    return KXorInstance(n=spec.n, k=k, clauses=tuple(clauses), signs=_random_signs(spec.m, spec.seed))
+    signs = 2 * _rng(spec.seed).integers(0, 2, size=spec.m) - 1
+    return KXorInstance(n=spec.n, k=k, clauses=clauses, signs=signs)
 
 
 def gen_kxor(spec: GenSpec) -> KXorInstance:
@@ -135,11 +129,7 @@ def gen_random_partitioned(n: int, ell: int, m: int, seed: int) -> PartitionedIn
     if ell < 1 or m < 1:
         raise ValueError("ell and m must be positive")
     rng = _rng(seed)
-    rows = []
     parts = rng.integers(0, ell, size=m)
-    for j in range(m):
-        u, v = sorted(int(w) for w in rng.choice(n, size=2, replace=False))
-        rows.append((int(parts[j]), u, v, 0))
+    pairs = _draw_sorted(rng, n, 2, m)
     signs = 2 * rng.integers(0, 2, size=m) - 1
-    rows = [(p, u, v, int(s)) for (p, u, v, _), s in zip(rows, signs)]
-    return PartitionedInstance(n=n, ell=ell, constraints=tuple(rows))
+    return PartitionedInstance(n=n, ell=ell, constraints=np.column_stack([parts, pairs, signs]))

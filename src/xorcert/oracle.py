@@ -13,17 +13,23 @@ import numpy as np
 from .instances import Assignment, KXorInstance, PartitionedInstance
 
 
-def _clause_mask(vertices) -> np.uint64:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return np.uint64(mask)
+def _masks(vertices: np.ndarray) -> np.ndarray:
+    """Per row of distinct vertices, the uint64 bit mask of the row."""
+    return (np.uint64(1) << vertices.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def _parity_signs(idx: np.ndarray, mask: np.uint64) -> np.ndarray:
     # x_j = 1 - 2*bit_j, so prod over the clause is (-1)^popcount(idx & mask)
     par = (np.bitwise_count(idx & mask) & np.uint64(1)).astype(np.int64)
     return 1 - 2 * par
+
+
+def _signed_sum(idx: np.ndarray, masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights[r] * x^{masks[r]} at every enumerated x."""
+    total = np.zeros(len(idx), dtype=np.int64)
+    for mask, weight in zip(masks.tolist(), weights.tolist()):
+        total += weight * _parity_signs(idx, np.uint64(mask))
+    return total
 
 
 def _assignment_from_index(idx: int, n: int) -> tuple[int, ...]:
@@ -46,39 +52,29 @@ def brute_force_val(inst, cap: int = 24) -> tuple[Fraction, Assignment]:
     idx = np.arange(1 << inst.n, dtype=np.uint64)
     if isinstance(inst, KXorInstance):
         # aggregate duplicate clauses into signed multiplicities first
-        mu: dict[tuple[int, ...], int] = {}
-        for cl, s in zip(inst.clauses, inst.signs):
-            mu[cl] = mu.get(cl, 0) + s
-        total = np.zeros(len(idx), dtype=np.int64)
-        for cl, weight in sorted(mu.items()):
-            if weight != 0:
-                total += weight * _parity_signs(idx, _clause_mask(cl))
-        sat = (inst.m + total) // 2
+        masks, inverse = np.unique(_masks(inst.clauses), return_inverse=True)
+        weights = np.zeros(len(masks), dtype=np.int64)
+        np.add.at(weights, inverse, inst.signs)
+        sat = (inst.m + _signed_sum(idx, masks[weights != 0], weights[weights != 0])) // 2
         best = int(np.argmax(sat))
         x = _assignment_from_index(best, inst.n)
         return Fraction(int(sat[best]), inst.m), Assignment(x=x)
 
     # partitioned: sum |b_i(x)| over nonempty parts
+    mu = inst.mu_rows()
+    masks = _masks(mu[:, 1:3])
     score = np.zeros(len(idx), dtype=np.int64)
-    tables = inst.mu_tables()
-    for table in tables:
-        if not table:
-            continue
-        b = np.zeros(len(idx), dtype=np.int64)
-        for (u, v), weight in sorted(table.items()):
-            if weight != 0:
-                b += weight * _parity_signs(idx, _clause_mask((u, v)))
-        score += np.abs(b)
+    for part in np.unique(mu[:, 0]).tolist():
+        rows = mu[:, 0] == part
+        score += np.abs(_signed_sum(idx, masks[rows], mu[rows, 3]))
     sat = (inst.m + score) // 2
     best = int(np.argmax(sat))
     x = _assignment_from_index(best, inst.n)
-    y = []
-    for table in inst.mu_tables():
-        b = 0
-        for (u, v), weight in table.items():
-            b += weight * x[u] * x[v]
-        y.append(1 if b >= 0 else -1)
-    return Fraction(int(sat[best]), inst.m), Assignment(x=x, y=tuple(y))
+    xs = np.array(x, dtype=np.int64)
+    b = np.zeros(inst.ell, dtype=np.int64)
+    np.add.at(b, mu[:, 0], mu[:, 3] * xs[mu[:, 1]] * xs[mu[:, 2]])
+    y = tuple(np.where(b >= 0, 1, -1).tolist())
+    return Fraction(int(sat[best]), inst.m), Assignment(x=x, y=y)
 
 
 def brute_force_inf1(m: np.ndarray, cap: int = 14) -> float:

@@ -22,6 +22,12 @@ dense cap takes its products from M's Kronecker factors (``PairFactors``)
 when they cost less than the block's entries, which holds for few parts
 with many edges each (4 sum_i t_i^2 >> ell n^3), and from the explicit
 block otherwise.
+
+Every table is an array built from the instance's constraint rows: mu as
+rows (part, u, v, mu) sorted by part, u and v (``mu_rows``), the degree
+profile from bincounts, the butterfly degrees gamma as an n x n array
+summed part by part in part order, and the weight classes as an n x n
+array of class indices.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
-from .instances import DegreeProfile, PartitionedInstance, degree_profile
+from .instances import DegreeProfile, PartitionedInstance, ValueEq, degree_profile
 from .linalg import _DENSE_CAP, SparseMat, bernstein_threshold, spectral_norm
 
 # power iteration takes a block's products from the factors when one product
@@ -46,37 +52,31 @@ from .linalg import _DENSE_CAP, SparseMat, bernstein_threshold, spectral_norm
 _FACTOR_MADDS_PER_NNZ = 32
 
 
-@dataclass(frozen=True)
-class ButterflyTable:
-    """Butterfly degrees gamma(v, v') = sum_i deg_i(v) deg_i(v') / t_i over ordered pairs."""
+@dataclass(frozen=True, eq=False)
+class ButterflyTable(ValueEq):
+    """Butterfly degrees gamma[v, v'] = sum_i deg_i(v) deg_i(v') / t_i over ordered pairs."""
 
     n: int
-    gamma: dict[tuple[int, int], float]
+    gamma: np.ndarray  # (n, n)
     total: float
-
-    def value(self, v: int, vp: int) -> float:
-        return self.gamma.get((v, vp), 0.0)
 
 
 def butterfly(profile: DegreeProfile) -> ButterflyTable:
-    """Butterfly degree table; the total always equals 4m exactly."""
-    gamma: dict[tuple[int, int], float] = {}
-    for t, deg in zip(profile.t, profile.deg):
-        support = sorted(deg)
-        for v in support:
-            for vp in support:
-                key = (v, vp)
-                gamma[key] = gamma.get(key, 0.0) + deg[v] * deg[vp] / t
-    return ButterflyTable(n=profile.n, gamma=gamma, total=float(sum(gamma.values())))
+    """Butterfly degree table, summed part by part in part order; the total is 4m."""
+    gamma = np.zeros((profile.n, profile.n))
+    for t, deg in zip(profile.t.tolist(), profile.deg):
+        support = np.flatnonzero(deg)
+        gamma[np.ix_(support, support)] += np.multiply.outer(deg[support], deg[support]) / t
+    return ButterflyTable(n=profile.n, gamma=gamma, total=float(gamma.sum()))
 
 
-@dataclass(frozen=True)
-class WeightClassPartition:
+@dataclass(frozen=True, eq=False)
+class WeightClassPartition(ValueEq):
     """Partition of all n^2 ordered vertex pairs into butterfly-weight classes.
 
     Class S_0 holds pairs with gamma <= alpha; class S_j (1 <= j <= levels)
-    holds gamma in (alpha beta^{j-1}, alpha beta^j].  Pairs outside the table
-    have gamma = 0 and belong to S_0, so only heavier classes are stored.
+    holds gamma in (alpha beta^{j-1}, alpha beta^j].  ``classes[v, v']`` is
+    the class of pair (v, v'), and ``sizes[j]`` is |S_j|.
     """
 
     n: int
@@ -84,17 +84,8 @@ class WeightClassPartition:
     beta: float
     levels: int
     clamped: bool
-    heavy: dict[tuple[int, int], int]
+    classes: np.ndarray  # (n, n) int64
     sizes: tuple[int, ...]
-
-    def class_of(self, pair: tuple[int, int]) -> int:
-        return self.heavy.get(pair, 0)
-
-    def class_matrix(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        for (v, vp), j in self.heavy.items():
-            out[v, vp] = j
-        return out
 
 
 def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: int,
@@ -116,20 +107,17 @@ def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: in
     ratio = 4.0 * m / alpha
     clamped = ratio < 1.0  # then every gamma <= 4m <= alpha lands in S_0
     beta = 1.0 if clamped else max(ratio ** (1.0 / lg), 1.0)
-    heavy: dict[tuple[int, int], int] = {}
+    classes = np.zeros((n, n), dtype=np.int64)
     if not clamped and beta > 1.0:
         log_beta = math.log(beta)
-        for pair, g in table.gamma.items():
-            if g > alpha:
-                j = min(levels, math.ceil(math.log(g / alpha) / log_beta))
-                heavy[pair] = max(j, 1)
-    sizes = [0] * (levels + 1)
-    for j in heavy.values():
-        sizes[j] += 1
-    sizes[0] = n * n - len(heavy)
+        heavy = np.flatnonzero(table.gamma > alpha)
+        # math.log, not np.log, so that no class boundary moves by an ulp
+        classes.flat[heavy] = [max(min(levels, math.ceil(math.log(g / alpha) / log_beta)), 1)
+                               for g in table.gamma.flat[heavy].tolist()]
+    sizes = np.bincount(classes.ravel(), minlength=levels + 1)
     return WeightClassPartition(
         n=n, alpha=alpha, beta=beta, levels=levels, clamped=clamped,
-        heavy=heavy, sizes=tuple(sizes),
+        classes=classes, sizes=tuple(sizes.tolist()),
     )
 
 
@@ -237,25 +225,16 @@ class Block:
         return self.factors.apply(y, self.row_pairs, self.col_pairs)
 
 
-def _kept_mu(inst: PartitionedInstance, profile: DegreeProfile) -> list[dict]:
-    tables = inst.mu_tables()
-    return [tables[orig] for orig in profile.part_ids]
-
-
-def _part_edge_arrays(table: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    edges = sorted((e, w) for e, w in table.items() if w != 0)
-    eu = np.array([e[0] for e, _ in edges], dtype=np.int64)
-    ev = np.array([e[1] for e, _ in edges], dtype=np.int64)
-    ew = np.array([w for _, w in edges], dtype=np.float64)
-    return eu, ev, ew
-
-
-def _pair_factors(profile: DegreeProfile, mu: list[dict]) -> PairFactors:
+def _pair_factors(profile: DegreeProfile, mu: np.ndarray) -> PairFactors:
+    """The factors of the pair matrix from mu's rows (part, u, v, mu), sorted by part."""
+    lo = np.searchsorted(mu[:, 0], profile.part_ids, side="left").tolist()
+    hi = np.searchsorted(mu[:, 0], profile.part_ids, side="right").tolist()
+    edges = mu[:, 1:].T
     parts = []
-    for t, table in zip(profile.t, mu):
-        eu, ev, ew = _part_edge_arrays(table)
-        if len(ew) >= 2:  # entries need two distinct edges in the part
-            parts.append((1.0 / math.sqrt(t), eu, ev, ew))
+    for t, a, b in zip(profile.t.tolist(), lo, hi):
+        if b - a >= 2:  # entries need two distinct edges in the part
+            eu, ev, ew = edges[:, a:b]
+            parts.append((1.0 / math.sqrt(t), eu, ev, ew.astype(np.float64)))
     return PairFactors(profile.n, parts)
 
 
@@ -278,7 +257,7 @@ def _pair_terms(factors: PairFactors):
                (np.multiply.outer(w, w) * scale)[distinct])
 
 
-def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
+def _accumulate_blocks(profile: DegreeProfile, mu: np.ndarray,
                        partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
     """Every nonzero block of the pair matrix M, from the terms of ``_pair_terms``.
 
@@ -298,7 +277,7 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
     if not factors.parts:
         return {}
     pairs = profile.n ** 2
-    classes = partition.class_matrix().ravel()
+    classes = partition.classes.ravel()
     blocks: dict[tuple[int, int], Block] = {}
     if pairs <= _DENSE_CAP:
         pair_matrix = np.zeros(pairs * pairs)
@@ -333,13 +312,6 @@ def _accumulate_blocks(profile: DegreeProfile, mu: list[dict],
     return blocks
 
 
-def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
-                 profile: DegreeProfile | None = None) -> dict[tuple[int, int], Block]:
-    """All nonzero weight-class blocks of the canonical pair matrix."""
-    profile = profile or degree_profile(inst)
-    return _accumulate_blocks(profile, _kept_mu(inst, profile), partition)
-
-
 # ---------------------------------------------------------------------------
 # The potential's constant terms.
 # ---------------------------------------------------------------------------
@@ -352,12 +324,14 @@ def phi2_term(profile: DegreeProfile) -> float:
 def dup_correction(inst: PartitionedInstance, profile: DegreeProfile | None = None) -> float:
     """c_0 = Q - Phi_2 with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i); zero when duplicate-free.
 
-    Both sums are fsums, so the verifier compares c_0 exactly.
+    Each part's sum of squares is an exact integer, and the outer sums are
+    fsums, so the verifier compares c_0 exactly.
     """
     profile = profile or degree_profile(inst)
-    q = math.fsum(math.fsum(w * w for w in table.values()) / math.sqrt(t)
-                  for t, table in zip(profile.t, _kept_mu(inst, profile)))
-    return q - phi2_term(profile)
+    mu = inst.mu_rows()
+    squares = np.bincount(np.searchsorted(profile.part_ids, mu[:, 0]),
+                          weights=mu[:, 3] ** 2, minlength=len(profile.t))
+    return math.fsum((squares / np.sqrt(profile.t)).tolist()) - phi2_term(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +466,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
     table = butterfly(profile)
     partition = weight_classes(table, d=d_used, eps=eps, m=m, ell=ell_eff,
                                alpha_c=config.alpha_c)
-    blocks = _accumulate_blocks(profile, _kept_mu(inst, profile), partition)
+    blocks = _accumulate_blocks(profile, inst.mu_rows(), partition)
     delta_block = config.block_delta / (partition.levels + 1) ** 2
     records = []
     for key in sorted(blocks):

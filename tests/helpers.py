@@ -1,8 +1,9 @@
 """Test-only reference computations: brute force and direct evaluations.
 
 Each one recomputes, the slow and obvious way, something the library derives
-cleverly: the heavy/light split by repeated stripping, single blocks and
-single-part blocks of the canonical pair matrix, the potential Phi evaluated
+cleverly: the heavy/light split by repeated stripping, the signed pair
+multiplicities mu_i and the butterfly degrees by loops over the constraints,
+single blocks and single-part blocks of the canonical pair matrix, the potential Phi evaluated
 directly and through the blocks, the exact block variance norm, the heavy side
 pulled back to partitioned constraints, the heavy side's bipartite
 relaxation optimum, and a rounding lower bound on the infinity-to-one norm.
@@ -16,9 +17,9 @@ import numpy as np
 
 from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
                      WeightClassPartition, bipartite_matrix, brute_force_inf1,
-                     brute_force_val, build_blocks, degree_profile, phi2_term)
+                     brute_force_val, degree_profile, phi2_term)
 from xorcert.linalg import SparseMat
-from xorcert.spectral import Block, _accumulate_blocks, _kept_mu
+from xorcert.spectral import Block, _accumulate_blocks
 
 
 def decompose_reference(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> Decomposition:
@@ -37,8 +38,8 @@ def decompose_reference(inst: PartitionedInstance, eps: float, c_split: float = 
         raise ValueError(f"degree cap c_split / eps^2 is not finite "
                          f"(c_split={c_split}, eps={eps})")
     d_cap = math.ceil(cap)
-    live = [(p, u, v, s, j) for j, (p, u, v, s) in enumerate(inst.constraints)]
-    provenance: list[tuple] = [("light",)] * inst.m
+    live = [(p, u, v, s, j) for j, (p, u, v, s) in enumerate(inst.constraints.tolist())]
+    provenance: list[int] = [-1] * inst.m  # heavy group index, or -1 for light
     left_labels: list[tuple[int, int]] = []
     heavy_rows: list[tuple[int, int, int]] = []
     while True:
@@ -57,7 +58,7 @@ def decompose_reference(inst: PartitionedInstance, eps: float, c_split: float = 
             p, u, v, s, j = row
             if p == ti and tv in (u, v):
                 heavy_rows.append((left_idx, v if u == tv else u, s))
-                provenance[j] = ("heavy", ti, tv)
+                provenance[j] = left_idx
             else:
                 stay.append(row)
         live = stay
@@ -68,6 +69,13 @@ def decompose_reference(inst: PartitionedInstance, eps: float, c_split: float = 
         left_labels=tuple(left_labels), n_right=inst.n, constraints=tuple(heavy_rows)
     )
     return Decomposition(light=light, heavy=heavy, d_cap=d_cap, provenance=tuple(provenance))
+
+
+def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
+                 profile: DegreeProfile | None = None) -> dict[tuple[int, int], Block]:
+    """All nonzero weight-class blocks of the canonical pair matrix."""
+    profile = profile or degree_profile(inst)
+    return _accumulate_blocks(profile, inst.mu_rows(), partition)
 
 
 def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
@@ -83,12 +91,11 @@ def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
                      slot: int, j: int, k: int) -> SparseMat:
     """Single-part contribution B_{i,j,k} (for bound cross-checks)."""
     profile = degree_profile(inst)
-    sub = DegreeProfile(
-        n=profile.n, part_ids=(profile.part_ids[slot],), t=(profile.t[slot],),
-        deg=(profile.deg[slot],),
-    )
-    mu = [_kept_mu(inst, profile)[slot]]
-    blocks = _accumulate_blocks(sub, mu, partition)
+    one = slice(slot, slot + 1)
+    sub = DegreeProfile(n=profile.n, part_ids=profile.part_ids[one], t=profile.t[one],
+                        deg=profile.deg[one])
+    mu = inst.mu_rows()
+    blocks = _accumulate_blocks(sub, mu[mu[:, 0] == profile.part_ids[slot]], partition)
     if (j, k) in blocks:
         return SparseMat.from_dense(block_dense(blocks[(j, k)]))
     return SparseMat.from_arrays(0, 0, [], [], [])
@@ -99,11 +106,39 @@ def block_dense(block: Block) -> np.ndarray:
     return block.mat.to_dense() if isinstance(block.mat, SparseMat) else block.mat
 
 
+def mu_tables(inst: PartitionedInstance) -> dict[int, dict[tuple[int, int], int]]:
+    """Per nonempty part, in part order, the signed multiplicity mu_i(e) of each pair e."""
+    mu: dict[int, dict[tuple[int, int], int]] = {}
+    for part, u, v, s in sorted(inst.constraints.tolist()):
+        table = mu.setdefault(part, {})
+        table[(u, v)] = table.get((u, v), 0) + s
+    return mu
+
+
+def butterfly_reference(inst: PartitionedInstance) -> dict[tuple[int, int], float]:
+    """gamma(v, v') = sum_i deg_i(v) deg_i(v') / t_i over the pairs some part supports.
+
+    Each part adds its terms in part order, as ``butterfly`` does.
+    """
+    t: dict[int, int] = {}
+    deg: dict[int, dict[int, int]] = {}
+    for part, u, v, _ in inst.constraints.tolist():
+        t[part] = t.get(part, 0) + 1
+        table = deg.setdefault(part, {})
+        table[u] = table.get(u, 0) + 1
+        table[v] = table.get(v, 0) + 1
+    gamma: dict[tuple[int, int], float] = {}
+    for part in sorted(t):
+        for v in sorted(deg[part]):
+            for vp in sorted(deg[part]):
+                gamma[(v, vp)] = gamma.get((v, vp), 0.0) + deg[part][v] * deg[part][vp] / t[part]
+    return gamma
+
+
 def part_biases(inst: PartitionedInstance, x: np.ndarray) -> list[float]:
     """b_i(x) = sum_e mu_i(e) x^e for each nonempty part."""
-    profile = degree_profile(inst)
     out = []
-    for table in _kept_mu(inst, profile):
+    for table in mu_tables(inst).values():
         out.append(float(sum(w * x[u] * x[v] for (u, v), w in table.items())))
     return out
 
@@ -112,7 +147,7 @@ def phi_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
     """Phi(x) = sum_i b_i(x)^2 / sqrt(t_i), evaluated directly."""
     profile = degree_profile(inst)
     out = 0.0
-    for t, table in zip(profile.t, _kept_mu(inst, profile)):
+    for t, table in zip(profile.t, mu_tables(inst).values()):
         b = sum(w * x[u] * x[v] for (u, v), w in table.items())
         out += b * b / math.sqrt(t)
     return float(out)
@@ -162,9 +197,9 @@ def empirical_variance_norm(inst: PartitionedInstance, partition: WeightClassPar
     if n > 16:
         raise ValueError("empirical variance check is for small instances")
     pairs_j = [(v, vp) for v in range(n) for vp in range(n)
-               if partition.class_of((v, vp)) == j]
+               if partition.classes[v, vp] == j]
     pairs_k = [(w, wp) for w in range(n) for wp in range(n)
-               if partition.class_of((w, wp)) == k]
+               if partition.classes[w, wp] == k]
     if not pairs_j or not pairs_k:
         return 0.0
     dups: dict[int, dict[tuple[int, int], int]] = {}  # per part: pair -> multiplicity

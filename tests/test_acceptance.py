@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import dupfree_partitioned
-from helpers import inf1_lower_round, phi1_from_blocks, phi_direct
+from helpers import build_blocks, inf1_lower_round, phi1_from_blocks, phi_direct
 from xorcert import (
     Certificate,
     GenSpec,
@@ -46,7 +46,6 @@ from xorcert import (
     weight_classes,
 )
 from xorcert.linalg import SparseMat
-from xorcert.spectral import build_blocks
 
 
 def _refute_any(inst, eps):

@@ -30,7 +30,7 @@ def test_kxor_validation():
 
 def test_kxor_make_sorts():
     inst = KXorInstance.make(5, 3, [((4, 0, 2), -1)])
-    assert inst.clauses == ((0, 2, 4),)
+    assert inst.clauses.tolist() == [[0, 2, 4]]
     assert inst.signs == (-1,)
 
 
@@ -42,7 +42,39 @@ def test_partitioned_validation():
     with pytest.raises(ValueError):
         PartitionedInstance(n=3, ell=1, constraints=((0, 1, 1, 1),))  # u >= v
     inst = PartitionedInstance.make(3, 2, [(1, 2, 0, -1)])
-    assert inst.constraints == ((1, 0, 2, -1),)
+    assert inst.constraints.tolist() == [[1, 0, 2, -1]]
+
+
+def test_make_rejects_float_entries():
+    # a float is rejected, never truncated to an integer
+    with pytest.raises(ValueError):
+        PartitionedInstance.make(n=3, ell=1, constraints=[(0, 0, 1.7, 1)])
+    with pytest.raises(ValueError):
+        KXorInstance.make(n=3, k=2, constraints=[((0, 1), 1.5)])
+
+
+def test_constructors_reject_booleans():
+    with pytest.raises(ValueError):
+        KXorInstance(n=3, k=2, clauses=((0, 1),), signs=(True,))
+    with pytest.raises(ValueError):
+        KXorInstance(n=3, k=2, clauses=np.array([[False, True]]), signs=(1,))
+
+
+def test_constructors_accept_numpy_integers():
+    inst = PartitionedInstance(n=3, ell=1, constraints=((0, np.int64(0), 1, 1),))
+    assert inst == PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, 1),))
+
+
+def test_array_built_instances_equal_tuple_built_ones():
+    kx = KXorInstance(n=6, k=3, clauses=((0, 1, 2), (1, 3, 5)), signs=(1, -1))
+    kx_arrays = KXorInstance(n=6, k=3, clauses=np.array([[0, 1, 2], [1, 3, 5]], dtype=np.int32),
+                             signs=np.array([1, -1]))
+    px = PartitionedInstance(n=4, ell=2, constraints=((0, 0, 1, 1), (1, 2, 3, -1)))
+    px_arrays = PartitionedInstance(n=4, ell=2, constraints=np.array([[0, 0, 1, 1], [1, 2, 3, -1]]))
+    for tuples, arrays in ((kx, kx_arrays), (px, px_arrays)):
+        assert arrays == tuples and not arrays != tuples
+        assert instance_digest(arrays) == instance_digest(tuples)
+    assert kx != KXorInstance(n=6, k=3, clauses=((0, 1, 2), (1, 3, 5)), signs=(1, 1))
 
 
 def test_eval_kxor_exact():
@@ -83,8 +115,8 @@ def test_duplicates_count_as_multiset():
 def test_degree_profile_drops_empty_parts():
     inst = PartitionedInstance.make(4, 5, [(2, 0, 1, 1), (2, 1, 2, -1), (4, 0, 3, 1)])
     prof = degree_profile(inst)
-    assert prof.part_ids == (2, 4)
-    assert prof.t == (2, 1)
+    assert prof.part_ids.tolist() == [2, 4]
+    assert prof.t.tolist() == [2, 1]
     assert prof.deg[0][1] == 2  # vertex 1 in part 2
     assert prof.max_degree() == 2
 

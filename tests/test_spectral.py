@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import xorcert.spectral
 from conftest import dupfree_partitioned
-from helpers import (block_dense, build_block, build_part_block, empirical_variance_norm,
-                     phi1_direct, phi1_from_blocks, phi_direct)
+from helpers import (block_dense, build_block, build_blocks, build_part_block,
+                     butterfly_reference, empirical_variance_norm, mu_tables, phi1_direct,
+                     phi1_from_blocks, phi_direct)
 from xorcert import (
     ButterflyTable,
     PartitionedInstance,
@@ -19,7 +20,6 @@ from xorcert import (
     block_r_bound,
     block_variance_bound,
     brute_force_val,
-    build_blocks,
     butterfly,
     certify_dbounded,
     degree_profile,
@@ -30,7 +30,7 @@ from xorcert import (
     weight_classes,
 )
 from xorcert.linalg import _DENSE_CAP, SparseMat
-from xorcert.spectral import _accumulate_blocks, _kept_mu
+from xorcert.spectral import _accumulate_blocks
 
 
 def _signs(rng, n):
@@ -41,10 +41,10 @@ def test_butterfly_hand_example():
     # one part, t = 2, edges {0,1} and {0,2}: deg = (2, 1, 1)
     inst = PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, 1), (0, 0, 2, -1)))
     table = butterfly(degree_profile(inst))
-    assert table.value(0, 0) == pytest.approx(2.0)
-    assert table.value(0, 1) == pytest.approx(1.0)
-    assert table.value(1, 2) == pytest.approx(0.5)
-    assert table.value(1, 1) == pytest.approx(0.5)
+    assert table.gamma[0, 0] == pytest.approx(2.0)
+    assert table.gamma[0, 1] == pytest.approx(1.0)
+    assert table.gamma[1, 2] == pytest.approx(0.5)
+    assert table.gamma[1, 1] == pytest.approx(0.5)
     assert table.total == pytest.approx(4 * inst.m)
 
 
@@ -57,45 +57,49 @@ def test_butterfly_total_is_4m(seed):
 
 def test_weight_class_boundaries():
     # n = 4, d = 1, ell = 1, eps = 0.4, m = 2500: alpha ~ 1, beta ~ 100, levels = 2
-    gamma = {(0, 1): 0.5, (0, 2): 50.0, (1, 2): 5000.0, (1, 3): 1e8}
-    table = ButterflyTable(n=4, gamma=gamma, total=sum(gamma.values()))
+    gamma = np.zeros((4, 4))
+    gamma[0, 1], gamma[0, 2], gamma[1, 2], gamma[1, 3] = 0.5, 50.0, 5000.0, 1e8
+    table = ButterflyTable(n=4, gamma=gamma, total=float(gamma.sum()))
     partition = weight_classes(table, d=1, eps=0.4, m=2500, ell=1)
     assert partition.levels == 2
     assert partition.alpha == pytest.approx(1.0)
     assert partition.beta == pytest.approx(100.0)
     assert not partition.clamped
-    assert partition.class_of((0, 1)) == 0
-    assert partition.class_of((0, 2)) == 1
-    assert partition.class_of((1, 2)) == 2
-    assert partition.class_of((1, 3)) == 2  # above the top boundary: capped at levels
-    assert partition.class_of((3, 3)) == 0  # absent pairs have gamma = 0
+    assert partition.classes[0, 1] == 0
+    assert partition.classes[0, 2] == 1
+    assert partition.classes[1, 2] == 2
+    assert partition.classes[1, 3] == 2  # above the top boundary: capped at levels
+    assert partition.classes[3, 3] == 0  # absent pairs have gamma = 0
     assert sum(partition.sizes) == 16
     assert partition.sizes == (13, 1, 2)
 
 
 def test_weight_class_clamping():
-    table = ButterflyTable(n=4, gamma={(0, 1): 3.0}, total=4.0)
+    gamma = np.zeros((4, 4))
+    gamma[0, 1] = 3.0
+    table = ButterflyTable(n=4, gamma=gamma, total=4.0)
     partition = weight_classes(table, d=10, eps=0.1, m=1, ell=2)
     assert partition.clamped and partition.beta == 1.0
-    assert partition.heavy == {}
+    assert not partition.classes.any()
     assert partition.sizes[0] == 16 and sum(partition.sizes) == 16
 
 
 def test_weight_class_validation():
-    table = ButterflyTable(n=4, gamma={}, total=0.0)
+    table = ButterflyTable(n=4, gamma=np.zeros((4, 4)), total=0.0)
     with pytest.raises(ValueError):
         weight_classes(table, d=0, eps=0.2, m=10, ell=1)
     with pytest.raises(ValueError):
         weight_classes(table, d=1, eps=0.6, m=10, ell=1)
     with pytest.raises(ValueError):
-        weight_classes(ButterflyTable(n=1, gamma={}, total=0.0), d=1, eps=0.2, m=10, ell=1)
+        weight_classes(ButterflyTable(n=1, gamma=np.zeros((1, 1)), total=0.0), d=1, eps=0.2,
+                       m=10, ell=1)
 
 
 def _all_s0(n):
     levels = math.ceil(math.log2(n))
     sizes = (n * n,) + (0,) * levels
-    return WeightClassPartition(n=n, alpha=1e9, beta=1.0, levels=levels,
-                                clamped=True, heavy={}, sizes=sizes)
+    return WeightClassPartition(n=n, alpha=1e9, beta=1.0, levels=levels, clamped=True,
+                                classes=np.zeros((n, n), dtype=np.int64), sizes=sizes)
 
 
 def test_block_entries_hand_example():
@@ -192,6 +196,22 @@ def test_block_apply_matches_explicit_block(inst, alpha_c, seed):
                       <= 1e-12 * absmat.sum(axis=0) + floor)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_partitioned())
+@example(_CANCELLING)
+@example(_ONE_EDGE_PART)
+def test_tables_match_loop_references(inst):
+    # mu keeps the nonzero multiplicities in (part, u, v) order, and gamma
+    # makes the reference's additions in the same order, so it matches bit for bit
+    expected = [[p, u, v, w] for p, table in mu_tables(inst).items()
+                for (u, v), w in sorted(table.items()) if w != 0]
+    assert inst.mu_rows().tolist() == expected
+    gamma = butterfly(degree_profile(inst)).gamma
+    reference = butterfly_reference(inst)
+    assert np.count_nonzero(gamma) == len(reference)
+    assert all(gamma[pair] == g for pair, g in reference.items())
+
+
 def _on_all_pairs(blocks, n):
     """Each block's entries placed at their (row pair, column pair) in an n^2 x n^2 array."""
     out = {}
@@ -219,7 +239,7 @@ def test_dense_and_coo_builders_agree(inst, alpha_c):
     else:
         partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
                                    m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
-    mu = _kept_mu(inst, profile)
+    mu = inst.mu_rows()
     dense_blocks = _accumulate_blocks(profile, mu, partition)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(xorcert.spectral, "_DENSE_CAP", 0)
