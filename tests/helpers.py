@@ -3,10 +3,11 @@
 Each one recomputes, the slow and obvious way, something the library derives
 cleverly: the heavy/light split by repeated stripping, the signed pair
 multiplicities mu_i and the butterfly degrees by loops over the constraints,
-single blocks and single-part blocks of the canonical pair matrix, the potential Phi evaluated
-directly and through the blocks, the exact block variance norm, the heavy side
-pulled back to partitioned constraints, the heavy side's bipartite
-relaxation optimum, and a rounding lower bound on the infinity-to-one norm.
+single blocks and single-part blocks of the canonical pair matrix, the
+potential Phi evaluated directly and through the blocks, the exact block
+variance norm, the heavy side pulled back to partitioned constraints, the
+heavy side's bipartite relaxation optimum, and a rounding lower bound on the
+infinity-to-one norm.
 """
 from __future__ import annotations
 
