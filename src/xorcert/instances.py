@@ -15,6 +15,7 @@ values.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -40,11 +41,19 @@ def int_rows(values, width: int | None, what: str) -> np.ndarray:
 
     Any integer array-like is accepted; a boolean, float or object dtype
     raises ValueError, and so does an unsigned value beyond the int64 range.
+    A sequence that mixes booleans with integers is rejected too: numpy
+    would turn it into integers, so its elements' types are checked.
     """
     arr = np.asarray(values)
     if arr.size and (arr.dtype.kind not in "iu" or
                      (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)):
         raise ValueError(f"{what} must be int64 integers, got dtype {arr.dtype}")
+    if arr.ndim and arr.size and not isinstance(values, np.ndarray):
+        items = values
+        for _ in range(arr.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        if not {bool, np.bool_}.isdisjoint(map(type, items)):
+            raise ValueError(f"{what} must be integers, got a boolean")
     arr = np.array(arr, dtype=np.int64, ndmin=1)
     shape = arr.shape[:1] if width is None else (len(arr), width)
     if arr.shape != shape and arr.size:
@@ -259,23 +268,20 @@ def degree_profile(inst: PartitionedInstance) -> DegreeProfile:
 # digests are stable across save/load round trips.
 # ---------------------------------------------------------------------------
 
+def _json_parts(inst) -> tuple[dict, np.ndarray]:
+    """An instance's canonical JSON dictionary, less its "constraints" rows, and those rows."""
+    if isinstance(inst, KXorInstance):
+        return ({"kind": "kxor", "n": inst.n, "k": inst.k},
+                np.column_stack([inst.clauses, inst.signs]))
+    if isinstance(inst, PartitionedInstance):
+        return {"kind": "p2xor", "n": inst.n, "ell": inst.ell}, inst.constraints
+    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+
+
 def to_json_dict(inst) -> dict:
     """Canonical JSON dictionary for an instance."""
-    if isinstance(inst, KXorInstance):
-        return {
-            "kind": "kxor",
-            "n": inst.n,
-            "k": inst.k,
-            "constraints": np.column_stack([inst.clauses, inst.signs]).tolist(),
-        }
-    if isinstance(inst, PartitionedInstance):
-        return {
-            "kind": "p2xor",
-            "n": inst.n,
-            "ell": inst.ell,
-            "constraints": inst.constraints.tolist(),
-        }
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    scalars, rows = _json_parts(inst)
+    return {**scalars, "constraints": rows.tolist()}
 
 
 def _json_int(value, what: str) -> int:
@@ -284,15 +290,10 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_rows(data: dict, width: int) -> list[list[int]]:
+def _json_rows(data: dict) -> list:
     rows = data["constraints"]
     if not isinstance(rows, list):
         raise ValueError("constraints must be a list")
-    for row in rows:
-        if not isinstance(row, list) or len(row) != width:
-            raise ValueError(f"constraint {row!r} must be a list of {width} integers")
-        for x in row:
-            _json_int(x, "constraint entry")
     return rows
 
 
@@ -300,21 +301,22 @@ def from_json_dict(data: dict):
     """Parse an instance from its canonical JSON dictionary.
 
     Everything but the layout is checked by the instance constructors; here
-    the top level must be an object, every row must have the right length,
-    and every number must be a JSON integer (not a float or a boolean).
+    the top level must be an object and the constraints a list.  int_rows
+    then checks that every row has the right length and that every number
+    is a JSON integer (not a float or a boolean).
     """
     if not isinstance(data, dict):
         raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "kxor":
         k = _json_int(data["k"], "k")
-        rows = int_rows(_json_rows(data, k + 1), k + 1, "constraints")
+        rows = int_rows(_json_rows(data), k + 1, "constraints")
         return KXorInstance(n=_json_int(data["n"], "n"), k=k,
                             clauses=np.sort(rows[:, :-1], axis=1), signs=rows[:, -1])
     if kind == "p2xor":
         return PartitionedInstance.make(n=_json_int(data["n"], "n"),
                                         ell=_json_int(data["ell"], "ell"),
-                                        constraints=_json_rows(data, 4))
+                                        constraints=_json_rows(data))
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -323,9 +325,67 @@ def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _json_int_rows(rows: np.ndarray) -> bytes:
+    """The bytes of json.dumps(rows.tolist(), separators=(",", ":")) for an (m, w) integer array.
+
+    Each row fills one line of a uint8 grid: a "," and a "[", then per entry
+    a sign cell, one cell per digit of the widest magnitude, and a separator
+    ("," or, after the last entry, "]").  The digits come from repeated
+    division by 10; one boolean compress then drops the unused sign cells,
+    the leading zeros and the first row's ",".
+    """
+    if not rows.size:
+        return json.dumps(rows.tolist(), separators=(",", ":")).encode("utf-8")
+    m, w = rows.shape
+    mag = np.abs(rows.astype(np.int64)).view(np.uint64)  # |int64 min| = 2**63 fits
+    top = int(mag.max())
+    digits = len(str(top))
+    mag = mag.astype(np.min_scalar_type(top))  # a narrower type divides faster
+    grid = np.empty((m, 2 + w * (digits + 2)), dtype=np.uint8)
+    keep = np.ones(grid.shape, dtype=bool)
+    grid[:, :2] = np.frombuffer(b",[", dtype=np.uint8)
+    keep[0, 0] = False
+    cells = grid[:, 2:].reshape(m, w, digits + 2)  # views: entry, then cell
+    kept = keep[:, 2:].reshape(m, w, digits + 2)
+    cells[:, :, 0] = ord("-")
+    kept[:, :, 0] = rows < 0
+    for j in range(digits, 0, -1):  # cell j holds the digit of 10**(digits - j)
+        if j < digits:
+            kept[:, :, j] = mag != 0  # a leading zero when nothing is left
+        rest = mag // 10
+        cells[:, :, j] = mag - rest * 10 + ord("0")  # mag % 10, but faster
+        mag = rest
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("]")
+    return b"[" + np.compress(keep.ravel(), grid).tobytes() + b"]"
+
+
+def rows_digest(scalars: dict, key: str, rows: np.ndarray) -> str:
+    """SHA-256 hex digest of canonical_json({**scalars, key: rows.tolist()}).
+
+    scalars holds only strings and integers.  The rows are encoded straight
+    from the array, between the canonical text before and after them.
+    """
+    head, tail = canonical_json({**scalars, key: []}).split(f'"{key}":[]')
+    digest = hashlib.sha256(f'{head}"{key}":'.encode("utf-8"))
+    digest.update(_json_int_rows(rows))
+    digest.update(tail.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def instance_digest(inst) -> str:
-    """SHA-256 hex digest of the canonical JSON encoding of an instance."""
-    return hashlib.sha256(canonical_json(to_json_dict(inst)).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical JSON encoding of an instance.
+
+    The hashed bytes are canonical_json(to_json_dict(inst)) in UTF-8: the
+    keys sorted, separators (",", ":") with no whitespace, and the
+    constraint rows as nested lists of integers, for example
+    {"constraints":[[0,1,2,-1]],"k":3,"kind":"kxor","n":6}.  So anyone can
+    recompute it from an instance file with Python's json and hashlib alone:
+    sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).
+    Here the rows are encoded from the int64 arrays, with no lists built.
+    """
+    scalars, rows = _json_parts(inst)
+    return rows_digest(scalars, "constraints", rows)
 
 
 def save_instance(inst, path) -> None:

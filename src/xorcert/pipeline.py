@@ -26,7 +26,6 @@ key, or a container of the wrong type, is a ``malformed certificate``.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
-from .instances import KXorInstance, PartitionedInstance, canonical_json, instance_digest
+from .instances import KXorInstance, PartitionedInstance, instance_digest
 from .linalg import min_eig_check
 from .reduce import bipartite_matrix, decompose, kxor_to_partitioned
 from .sdp import DualCert, inf1_upper, two_xor_value, z_matrix
@@ -174,8 +173,7 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
             "ell": psi.ell,
             "n_psi": psi.n,
             "subset_size": red.dictionary.subset_size,
-            "dictionary_digest": hashlib.sha256(
-                canonical_json(red.dictionary.to_json_dict()).encode("utf-8")).hexdigest(),
+            "dictionary_digest": red.dictionary.digest(),
             "psi_digest": instance_digest(psi),
         }
     return payload

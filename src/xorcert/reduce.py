@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import KXorInstance, PartitionedInstance, ValueEq, int_rows, reject_rows
+from .instances import (KXorInstance, PartitionedInstance, ValueEq, int_rows, reject_rows,
+                        rows_digest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +44,10 @@ class SubsetDictionary(ValueEq):
 
     def to_json_dict(self) -> dict:
         return {"subset_size": self.subset_size, "subsets": self.subsets.tolist()}
+
+    def digest(self) -> str:
+        """SHA-256 hex digest of canonical_json(self.to_json_dict())."""
+        return rows_digest({"subset_size": self.subset_size}, "subsets", self.subsets)
 
 
 @dataclass(frozen=True)

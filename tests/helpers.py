@@ -6,11 +6,13 @@ multiplicities mu_i and the butterfly degrees by loops over the constraints,
 single blocks and single-part blocks of the canonical pair matrix, the
 potential Phi evaluated directly and through the blocks, the exact block
 variance norm, the heavy side pulled back to partitioned constraints, the
-heavy side's bipartite relaxation optimum, and a rounding lower bound on the
-infinity-to-one norm.
+heavy side's bipartite relaxation optimum, a rounding lower bound on the
+infinity-to-one norm, and the digests of instances and subset dictionaries
+through json.dumps.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
                      WeightClassPartition, bipartite_matrix, brute_force_inf1,
-                     brute_force_val, degree_profile, phi2_term)
+                     brute_force_val, canonical_json, degree_profile, phi2_term)
 from xorcert.linalg import SparseMat
 from xorcert.spectral import Block, _accumulate_blocks
 
@@ -289,3 +291,12 @@ def inf1_lower_round(m: np.ndarray, trials: int = 32, seed: int = 0):
         if cand[0] > best[0]:
             best = cand
     return best
+
+
+def json_digest(data: dict) -> str:
+    """SHA-256 hex digest of canonical_json(data), rows and all through json.dumps.
+
+    The reference for instance_digest(inst), which must equal
+    json_digest(to_json_dict(inst)), and for SubsetDictionary.digest.
+    """
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()

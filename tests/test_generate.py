@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from xorcert import (FAMILIES, GenSpec, gen_adversarial_hypergraph, gen_kxor,
-                     gen_random_partitioned, instance_digest, kxor_to_partitioned)
+                     gen_random_partitioned, instance_digest, kxor_to_partitioned,
+                     refute_kxor)
 
 
 def test_random_kxor_deterministic():
@@ -105,3 +106,17 @@ def test_seeded_partitioned_digest_is_pinned():
 def test_reduced_digest_is_pinned(k):
     psi = kxor_to_partitioned(gen_kxor(GenSpec(kind="random", n=12, m=200, seed=5, k=k))).psi
     assert instance_digest(psi) == PSI_DIGESTS[k]
+
+
+# reduction.dictionary_digest of the same draws, recorded with numpy 2.4.6
+DICTIONARY_DIGESTS = {
+    3: "aa8a77f533d037271dd01d62e2f7e4e1eac7995e2c6aee73be8593fc2dd2fbb2",
+    4: "dece6f302741d0430ba91783a2b8e23e37ea8fd3033595086ce09929cee55400",
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_dictionary_digest_is_pinned(k):
+    inst = gen_kxor(GenSpec(kind="random", n=12, m=200, seed=5, k=k))
+    assert refute_kxor(inst, 0.3).payload["reduction"]["dictionary_digest"] == (
+        DICTIONARY_DIGESTS[k])

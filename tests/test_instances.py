@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from xorcert import (Assignment, KXorInstance, PartitionedInstance, bias,
-                     degree_profile, eval_kxor, eval_partitioned,
+from helpers import json_digest
+from xorcert import (Assignment, KXorInstance, PartitionedInstance, SubsetDictionary,
+                     bias, degree_profile, eval_kxor, eval_partitioned,
                      from_json_dict, instance_digest, load_instance,
                      save_instance, to_json_dict)
+from xorcert.instances import _json_int_rows
 
 
 def test_kxor_validation():
@@ -58,6 +62,19 @@ def test_constructors_reject_booleans():
         KXorInstance(n=3, k=2, clauses=((0, 1),), signs=(True,))
     with pytest.raises(ValueError):
         KXorInstance(n=3, k=2, clauses=np.array([[False, True]]), signs=(1,))
+    # numpy turns a sequence mixing booleans and integers into integers
+    with pytest.raises(ValueError):
+        KXorInstance(n=3, k=2, clauses=((0, True),), signs=(1,))
+    with pytest.raises(ValueError):
+        KXorInstance(n=3, k=2, clauses=((0, 1), (1, 2)), signs=(1, True))
+    with pytest.raises(ValueError):
+        KXorInstance.make(n=3, k=2, constraints=[((0, 1), 1), ((1, 2), np.True_)])
+    with pytest.raises(ValueError):
+        PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, True),))
+    with pytest.raises(ValueError):
+        PartitionedInstance.make(n=3, ell=1, constraints=[[0, 0, 1, 1], [False, 1, 2, 1]])
+    with pytest.raises(ValueError):
+        SubsetDictionary(subset_size=2, subsets=((0, 1), (True, 2)))
 
 
 def test_constructors_accept_numpy_integers():
@@ -136,6 +153,57 @@ def test_digest_distinguishes():
     b = KXorInstance.make(6, 3, [((0, 1, 2), -1)])
     assert instance_digest(a) != instance_digest(b)
     assert instance_digest(a) == instance_digest(from_json_dict(to_json_dict(a)))
+
+
+INT64, INT32 = np.iinfo(np.int64), np.iinfo(np.int32)
+EDGE_VALUES = [int(INT64.min), int(INT64.max), 0, 9, 10, -1, -10]
+
+
+def _json_bytes(rows: np.ndarray) -> bytes:
+    return json.dumps(rows.tolist(), separators=(",", ":")).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
+              elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                                 st.integers(int(INT64.min), int(INT64.max)))))
+@example(np.array([EDGE_VALUES]))
+@example(np.array(EDGE_VALUES).reshape(-1, 1))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[INT32.min, INT32.max, 0, -1]], dtype=np.int32))
+def test_encoder_matches_json_dumps(rows):
+    assert _json_int_rows(rows) == _json_bytes(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.integers(2, 6)),
+              elements=st.integers(-10**6, 10**6)),
+       st.sampled_from([(slice(None, None, 2), slice(None)), (slice(None), slice(None, None, -1)),
+                        (slice(1, None, 3), slice(None, None, 2))]))
+def test_encoder_reads_non_contiguous_and_int32_input(rows, view):
+    for a in (rows[view], rows.T, rows.astype(np.int32)[view]):
+        assert _json_int_rows(a) == _json_bytes(a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_digest_matches_json_reference(data):
+    n = data.draw(st.integers(4, 30))
+    m = data.draw(st.integers(0, 30))
+    k = data.draw(st.integers(2, 4))
+    clauses = [sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                         unique=True))) for _ in range(m)]
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+    kx = KXorInstance(n=n, k=k, clauses=clauses, signs=signs)
+    ell = data.draw(st.integers(1, 12))
+    rows = [(data.draw(st.integers(0, ell - 1)),
+             *sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True))),
+             data.draw(st.sampled_from([-1, 1])))
+            for _ in range(m)]
+    px = PartitionedInstance(n=n, ell=ell, constraints=rows)
+    for inst in (kx, px):
+        assert instance_digest(inst) == json_digest(to_json_dict(inst))
 
 
 def test_from_json_rejects_unknown_kind():

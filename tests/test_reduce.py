@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import decompose_reference, heavy_sub_instance, heavy_value_dominates
+from helpers import (decompose_reference, heavy_sub_instance, heavy_value_dominates,
+                     json_digest)
 from xorcert import (
     FAMILIES,
     GenSpec,
@@ -63,6 +64,13 @@ def test_reduce_never_loses_value(k, seed):
     val_phi, _ = brute_force_val(inst)
     val_psi, _ = brute_force_val(red.psi, cap=20)
     assert val_psi >= val_phi
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_dictionary_digest_matches_json_reference(k):
+    dictionary = kxor_to_partitioned(
+        gen_kxor(GenSpec(kind="random", n=12, m=300, seed=k, k=k))).dictionary
+    assert dictionary.digest() == json_digest(dictionary.to_json_dict())
 
 
 def test_subset_dictionary_validation():
