@@ -14,10 +14,10 @@ print("matrix:", m.shape[0], "x", m.shape[1], "with", np.count_nonzero(m), "entr
 
 # spectral_norm returns a sandwich [lower, upper] around sigma_max.  The lower
 # bound is a Rayleigh quotient at an explicit vector.  This matrix's dilation
-# [[0, M], [M^T, 0]] has 65 rows, under the dense cap of 1024, so the upper
+# [[0, M], [M^T, 0]] has 65 rows, under the dense cap of 5050, so the upper
 # bound u comes from one dense SVD, padded and rounded up, and stands only
-# because min_eig_check (below) proves uI - [[0, M], [M^T, 0]] PSD.  Blocks
-# above the cap use a residual-corrected power-iteration estimate instead.
+# because min_eig_check (below) proves uI - [[0, M], [M^T, 0]] PSD.  Above
+# the cap there is no such check, and the upper is the l1 bound below.
 nb = spectral_norm(m)
 assert nb.method == "dense-cholesky"
 sigma = float(np.linalg.svd(m, compute_uv=False)[0])

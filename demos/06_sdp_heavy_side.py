@@ -39,24 +39,24 @@ assert min_eig_check(z, cert.slack)
 assert cert.bound() == upper
 print("dual certificate re-checked")
 
-# The pipeline puts it together.  In a dense single-part instance most
-# (part, vertex) groups reach the degree cap, so most constraints go to the
-# heavy side, whose bias is at most inf1 / m: a small certified inf1 means a
-# small value.
+# The pipeline puts it together.  A single-part instance is plain 2-XOR:
+# its advantage sum_c s_c x_u x_v is x^T A x for the symmetric pair matrix A
+# (s_c / 2 at (u, v) and (v, u)), so inf1(A) / m bounds the bias and one
+# dual on A, the "whole" report, bounds the value.
 psi = gen_random_partitioned(n=30, ell=1, m=4000, seed=1)
 cert = refute_partitioned(psi, eps=0.2)
-heavy = cert.payload["heavy"]
+whole = cert.payload["whole"]
 print(f"dense random 2-XOR: {cert.outcome}, val <= {cert.certified_val_upper:.4f}",
-      f"({heavy['m']} of {psi.m} constraints heavy, status {heavy['report']['status']})")
+      f"({whole['rows']} x {whole['cols']} pair matrix, status {whole['status']})")
 assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.7
-assert heavy["report"]["status"] == "SUCCESS"
+assert whole["status"] == "SUCCESS" and cert.payload["heavy"]["report"] is None
 assert verify_certificate(cert, psi)
 
 # A satisfiable instance can never be refuted: the dual bound stays at m.
 sat = PartitionedInstance(n=30, ell=1, constraints=((0, 0, 1, 1),) * 200)
 cert = refute_partitioned(sat, eps=0.2)
-heavy = cert.payload["heavy"]
+whole = cert.payload["whole"]
 print(f"satisfiable 2-XOR: {cert.outcome}, val <= {cert.certified_val_upper:.4f}",
-      f"(heavy status {heavy['report']['status']})")
-assert heavy["mode"] == "sdp" and heavy["report"]["status"] == "UNKNOWN"
+      f"(whole status {whole['status']})")
+assert whole["status"] == "UNKNOWN"
 assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0

@@ -1,19 +1,15 @@
 """Certified spectral bounds, PSD checks and matrix Bernstein tails.
 
 PSD-ness is decided by one floating-point Cholesky with an a-priori rounding
-shift (``min_eig_check``).  The same check certifies spectral norm uppers:
-a matrix whose factored form has at most ``_DENSE_CAP`` rows is a dense
-array, which gets u from one dense eigen or singular value solve, and u
-stands only if ``uI -+ M`` pass the check, so that upper is sound with
-rounding accounted for.  The row and column l1 bound (Gershgorin applied to
-the symmetric dilation) is sound at every size.  Above the cap the matrix
-is a ``SparseMat``, the COO form that only the light side's large blocks
-use, and the upper is a power-iteration Rayleigh quotient plus its residual
-norm, which bounds the distance to *some* eigenvalue, not to the largest,
-so it is not yet sound when the top singular values nearly coincide.  The
-iteration needs only the products M x and M^T y, which a caller may supply
-in factored form (the light side's blocks apply them through the Kronecker
-factors of the pair matrix).
+shift (``min_eig_check``), and the same check certifies every spectral norm
+upper.  A matrix whose factored form has at most ``_DENSE_CAP`` rows is a
+dense array; one dense eigen or singular value solve proposes u, and u
+stands only if the check passes on u W -+ M (W the identity for a plain
+norm, the pair counts of the light side's folded blocks), so that upper is
+sound with rounding accounted for.  The row and column l1 bound (Gershgorin
+applied to the symmetric dilation) is sound at every size, and it is the
+whole upper above the cap.  ``SparseMat`` is an input format: a COO matrix
+that ``spectral_norm`` turns dense when it fits.
 """
 from __future__ import annotations
 
@@ -25,14 +21,10 @@ import numpy as np
 # float-rounding guard on certified inequalities that hold in exact arithmetic
 _ROUND_GUARD = 1e-12
 # a norm is certified dense when the matrix factored (M itself when exactly
-# symmetric, else its dilation) has at most this many rows: eigh plus two
-# Cholesky take 0.03 s at 361 rows, 0.5 s at 1000 and 3 s at 2000 (one thread)
-_DENSE_CAP = 1024
-# power iteration above the cap: relative gap to stop at, step limit, and the
-# Philox key of the random restart
-_POWER_TOL = 1e-8
-_POWER_MAX_ITER = 1500
-_RESTART_SEED = 0x5EED
+# symmetric, else its dilation) has at most this many rows, the swap-symmetric
+# pairs of 100 vertices: eigvalsh takes 15 s there and each Cholesky 2.0 s
+# (one thread of a 2-core VM), against 0.96 s and 0.21 s at 2000 rows
+_DENSE_CAP = 5050
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,176 +125,79 @@ def l1_norm_bound(m: SparseMat | np.ndarray) -> float:
     return float(max(m.row_l1().max(), m.col_l1().max()))
 
 
-def _dilation_apply(op, w: np.ndarray) -> np.ndarray:
-    # symmetric dilation [[0, M], [M^T, 0]] applied to [top; bottom]
-    return np.concatenate([op.matvec(w[op.rows:]), op.rmatvec(w[: op.rows])])
+def weighted_norm(c: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> NormBound:
+    """Two-sided bound on ||W_r^-1/2 C W_c^-1/2|| for diagonal weights W >= 1.
 
-
-def _aligned_candidate(op, w: np.ndarray) -> tuple[float, float]:
-    """(|rho|, residual) of the dilation at w after sign alignment.
-
-    The dilation spectrum is symmetric (+/- each singular value), so a power
-    iterate of the squared dilation mixes the two signed top eigenvectors;
-    w <- s*w + Dw projects onto the + branch.  There is an eigenvalue within
-    residual of +|rho|, so |rho| + residual upper-bounds the norm whenever w
-    overlaps the top eigenspace.
+    The light side bounds its folded blocks with this: C sums the pair
+    matrix over swap-symmetric rows, and W counts the ordered pairs behind
+    each row.  One dense solve proposes s1: the top |eigenvalue| of the
+    scaled C when C = C^T and W_r = W_c, else its top singular value, both
+    taken without vectors.  u = s1 + 4c, with c the check's shift for a
+    diagonal of 2 s1 W (it grows as n^2 u s1, past the solve's O(n u s1)
+    backward error), rounded up onto a grid 2^-24 below s1 so that its
+    bytes do not follow the last digits of the solve.  u stands
+    ("dense-cholesky") once the Cholesky check proves u W -+ C >= 0, with
+    u W passed as a per-row slack, so the square roots of the scaling never
+    reach it.  For any other C, the dilation D = [[0, C], [C^T, 0]] with
+    W = Diag(W_r, W_c) needs one check: u W - D >= 0 at (y, -z) gives
+    y^T C z <= u sqrt(y^T W_r y z^T W_c z) after scaling y and z, and
+    (y, z) gives the other sign.  When the check fails, or the l1 bound of
+    C is smaller, the upper is that l1 bound ("schur-l1"): it holds for the
+    scaled matrix too, as W >= 1 only shrinks entries.  The lower bound is
+    s1, rounded down onto a grid 2^-24 below it and less a rounding guard;
+    the grid step dwarfs the solve's error, but no bound rests on it.
     """
-    u = _dilation_apply(op, w)
-    s = float(np.linalg.norm(u))
-    aligned = s * w + u
-    norm = float(np.linalg.norm(aligned))
-    if norm <= 1e-12 * max(1.0, s):
-        aligned = s * w - u
-        norm = float(np.linalg.norm(aligned))
-    if norm == 0.0:
-        return 0.0, 0.0
-    aligned /= norm
-    u2 = _dilation_apply(op, aligned)
-    rho = float(aligned @ u2)
-    res = float(np.linalg.norm(u2 - rho * aligned))
-    return abs(rho), res
-
-
-def _power_squared_run(op, w0: np.ndarray):
-    """Iterate w <- D^2 w / ||.||; returns (s_best, w) or None if w hit the kernel.
-
-    Iterating the squared dilation avoids the sign oscillation of the
-    indefinite dilation spectrum; s_best = sqrt(max ||D^2 w||) is a sound
-    lower bound for the spectral norm at every step.  Stops once the certified
-    gap (|rho| + res) - s_best closes to ``_POWER_TOL``, or the iteration
-    fixes, or it has run ``_POWER_MAX_ITER`` steps.
-    """
-    w = w0 / np.linalg.norm(w0)
-    s_best = 0.0
-    prev = -1.0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        u = _dilation_apply(op, _dilation_apply(op, w))
-        q = float(np.linalg.norm(u))
-        if q == 0.0:
-            return None
-        s_best = max(s_best, math.sqrt(q))
-        w = u / q
-        if prev >= 0.0 and abs(q - prev) <= 1e-13 * max(1.0, q):
-            break
-        prev = q
-        if it % 25 == 0:
-            rho_abs, res = _aligned_candidate(op, w)
-            if rho_abs + res - s_best <= _POWER_TOL * max(1.0, s_best):
-                break
-    return s_best, w
-
-
-def _dense_norm(a: np.ndarray, symmetric: bool) -> tuple[float, float | None]:
-    """(Rayleigh quotient, certified upper or None) from one dense solve of a.
-
-    s1 is the top |eigenvalue| of a symmetric a, else its top singular value.
-    u = s1 + 4c, with c the check's shift for a diagonal of 2 s1 (it grows as
-    n^2 u s1, past the solve's O(n u s1) backward error), rounded up onto a
-    grid 2^-24 below s1 so that its bytes do not follow the last digits of
-    the solve.  Then ||a|| <= u holds once ``min_eig_check`` proves
-    lambda_min(+-a) >= -u; for a rectangular or asymmetric a the dilation
-    W = [[0, a], [a^T, 0]] has spectrum +-sigma_i, so lambda_min(-W) >= -u
-    alone suffices.
-    """
+    if not c.any():
+        return NormBound(0.0, 0.0, "exact-small")
+    symmetric = np.array_equal(row_w, col_w) and np.array_equal(c, c.T)
+    scaled = c / np.sqrt(row_w)[:, None]
+    scaled /= np.sqrt(col_w)
     if symmetric:
-        lam, vecs = np.linalg.eigh(a)
-        top = int(np.argmax(np.abs(lam)))
-        s1, v = float(abs(lam[top])), vecs[:, top]
-        rayleigh = abs(float(v @ (a @ v))) / float(v @ v)
-        w, signs = a, (1.0, -1.0)
+        s1 = float(np.abs(np.linalg.eigvalsh(scaled)).max())
+        w = row_w
     else:
-        left, sig, right = np.linalg.svd(a, full_matrices=False)
-        s1, x, y = float(sig[0]), left[:, 0], right[0]
-        rayleigh = abs(float(x @ (a @ y))) / math.sqrt(float(x @ x) * float(y @ y))
-        rows = a.shape[0]
-        w = np.zeros((rows + a.shape[1],) * 2)
-        w[:rows, rows:] = a
-        w[rows:, :rows] = a.T
-        signs = (-1.0,)
+        s1 = float(np.linalg.svd(scaled, compute_uv=False)[0])
+        w = np.concatenate([row_w, col_w])
+    del scaled
     q = _grid(s1)
-    u = math.ceil((s1 + 4.0 * psd_shift(np.full(len(w), 2.0 * s1))) / q) * q
-    if all(min_eig_check(sign * w, u) for sign in signs):
-        return rayleigh, u
-    return rayleigh, None
+    u = math.ceil((s1 + 4.0 * psd_shift(2.0 * s1 * w)) / q) * q
+    if symmetric:
+        # one check at a time, so that a large block has one copy alive
+        passed = _shifted_cholesky(np.negative(c), u * w) and _shifted_cholesky(c.copy(), u * w)
+    else:
+        rows = c.shape[0]
+        dilation = np.zeros((len(w), len(w)))
+        dilation[:rows, rows:] = -c
+        dilation[rows:, :rows] = -c.T
+        passed = _shifted_cholesky(dilation, u * w)
+    return _sandwich(s1, u if passed else None, l1_norm_bound(c) * (1.0 + _ROUND_GUARD),
+                     "dense-cholesky")
 
 
-def spectral_norm(m: SparseMat | np.ndarray, op=None) -> NormBound:
+def spectral_norm(m: SparseMat | np.ndarray) -> NormBound:
     """Two-sided spectral norm bound, upper = min(l1 bound, u).
 
-    m is a ``SparseMat`` or a dense array, and one rule (``_fits_dense``)
-    picks the path.  If M is exactly symmetric with at most ``_DENSE_CAP``
-    rows, or its dilation has at most that many, M goes dense: a
-    ``SparseMat`` is turned into an array, and u comes from ``_dense_norm``,
-    which is sound ("dense-cholesky"); when its check fails the upper is the
-    l1 bound ("schur-l1"), with no retry.  A larger M, an array turned into
-    a ``SparseMat``, runs power iteration on the squared dilation from a
-    deterministic all-ones start plus one seeded random restart, and
-    u = |rho| + residual at the aligned final iterate, which is not yet
-    sound when the top singular values nearly coincide; this path rounds u
-    up onto a grid 2^-24 below the lower bound.  The iteration takes its
-    products M x and M^T y from op (default m itself): any object with
-    ``rows``, ``matvec`` and ``rmatvec`` that agree with m, such as a
-    light-side ``Block``, which applies them through Kronecker factors.  The
-    lower bound is the largest |entry| or the Rayleigh quotient of the top
-    vector, less a rounding guard; on both paths it is rounded down onto the
-    grid, so that its bytes do not follow the last digits of the eigen solve
-    or of the BLAS calls, whose order of summation follows the thread count.
+    m is a ``SparseMat`` or a dense array.  If M is exactly symmetric with
+    at most ``_DENSE_CAP`` rows, or its dilation has at most that many, M
+    goes dense (a ``SparseMat`` is turned into an array) and gets
+    ``weighted_norm`` with unit weights: a sound u, or the l1 bound when its
+    check fails.  A larger M gets the l1 bound ("schur-l1"), with its
+    largest |entry| as the lower bound.
     """
     if isinstance(m, SparseMat) and _fits_dense(m.rows, m.cols, m.rows == m.cols):
         m = m.to_dense()  # a square one may be symmetric; its array decides
     if isinstance(m, np.ndarray):
-        symmetric = np.array_equal(m, m.T)
-        if _fits_dense(*m.shape, symmetric):
-            return _dense_bound(m, symmetric)
+        if _fits_dense(*m.shape, np.array_equal(m, m.T)):
+            return weighted_norm(m, np.ones(m.shape[0]), np.ones(m.shape[1]))
         m = SparseMat.from_dense(m)
     if m.nnz == 0:
         return NormBound(0.0, 0.0, "exact-small")
-    op = m if op is None else op
-    l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
-    lower = m.abs_max()  # every entry is a lower bound on the norm
-    dim = m.rows + m.cols
-    starts = [np.ones(dim)]
-    rng = np.random.Generator(np.random.Philox(key=_RESTART_SEED))
-    starts.append(rng.standard_normal(dim))
-
-    best = None  # (s, w)
-    for w0 in starts:
-        out = _power_squared_run(op, w0)
-        if out is None:
-            continue
-        s, w = out
-        lower = max(lower, s)
-        if best is None or s > best[0]:
-            best = (s, w)
-    if best is None:
-        # both starts landed exactly in the kernel; fall back to the l1 bound
-        return _sandwich(lower, None, l1, "schur-l1")
-
-    rho_abs, res = _aligned_candidate(op, best[1])
-    lower = max(lower, rho_abs)
-    cand = (rho_abs + res) * (1.0 + _ROUND_GUARD)
-    if cand < lower:
-        cand = None  # alignment failed
-    else:
-        # round up onto the lower bound's grid: the iterates' norms, dot
-        # products and factored products are BLAS calls
-        q = _grid(lower)
-        cand = math.ceil(cand / q) * q
-    return _sandwich(lower, cand, l1, "power-iteration-residual")
+    return _sandwich(m.abs_max(), None, l1_norm_bound(m) * (1.0 + _ROUND_GUARD), "schur-l1")
 
 
 def _fits_dense(rows: int, cols: int, symmetric: bool) -> bool:
-    """Whether the matrix that ``_dense_norm`` factors has at most ``_DENSE_CAP`` rows."""
+    """Whether the matrix that ``weighted_norm`` factors has at most ``_DENSE_CAP`` rows."""
     return rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP)
-
-
-def _dense_bound(a: np.ndarray, symmetric: bool) -> NormBound:
-    """The dense path of ``spectral_norm``, with the largest |entry| as a lower bound."""
-    if not a.any():
-        return NormBound(0.0, 0.0, "exact-small")
-    rayleigh, u = _dense_norm(a, symmetric)
-    return _sandwich(max(float(np.abs(a).max()), rayleigh), u,
-                     l1_norm_bound(a) * (1.0 + _ROUND_GUARD), "dense-cholesky")
 
 
 def _grid(x: float) -> float:
@@ -342,17 +237,19 @@ def psd_shift(diag: np.ndarray) -> float:
     return c * (1.0 + 16.0 * _U)
 
 
-def min_eig_check(s: np.ndarray, slack: float) -> bool:
-    """True only if lambda_min(S) >= -slack: one Cholesky of B = S + slack*I - c*I.
+def min_eig_check(s: np.ndarray, slack) -> bool:
+    """True only if S + Diag(slack) >= 0: one Cholesky of B = S + Diag(slack) - c*I.
 
-    With t = fl(diag(S) + slack) >= 0 and c = psd_shift(t), the check passes
-    when LAPACK's Cholesky of B runs to completion (Rump, "Verification of
-    positive definiteness", BIT 46 (2006); Higham, *Accuracy and Stability*,
-    10.1).  Demmel: then B + dB = R^T R with |dB| <= gamma_{n+1} |R^T||R| for
-    any order of the inner products, so ||dB||_2 <= gamma ||R||_F^2 =
-    gamma tr(B + dB), i.e. ||dB||_2 <= gamma/(1 - gamma) tr(B), and
-    tr(B) <= sum t since every pivot was positive.  Forming b_ii = fl(t_i - c)
-    rounds twice, an error of at most 2u t_i + u c.  So lambda_min(S + slack*I)
+    slack is one number for every row or one per row (the light side passes
+    u W).  With t = fl(diag(S) + slack) >= 0 and c = psd_shift(t), the check
+    passes when LAPACK's Cholesky of B runs to completion (Rump,
+    "Verification of positive definiteness", BIT 46 (2006); Higham,
+    *Accuracy and Stability*, 10.1).  Demmel: then B + dB = R^T R with
+    |dB| <= gamma_{n+1} |R^T||R| for any order of the inner products, so
+    ||dB||_2 <= gamma ||R||_F^2 = gamma tr(B + dB), i.e.
+    ||dB||_2 <= gamma/(1 - gamma) tr(B), and tr(B) <= sum t since every
+    pivot was positive.  Forming b_ii = fl(t_i - c) rounds twice, an error
+    of at most 2u t_i + u c.  So lambda_min(S + Diag(slack))
     >= c(1 - u) - 2u max t - gamma/(1 - gamma) sum t >= 0, as
     (1 - u)/(1 - 2 gamma) >= 1/(1 - gamma).  Gradual underflow adds at most
     eta/2 per product or quotient, n(n+1)(1 + max t) eta in norm, which the
@@ -360,9 +257,13 @@ def min_eig_check(s: np.ndarray, slack: float) -> bool:
     S is a dense array; it must be square, finite and exactly symmetric, or
     ValueError is raised.
     """
-    if slack < 0:
+    return _shifted_cholesky(np.array(s, dtype=np.float64), slack)
+
+
+def _shifted_cholesky(a: np.ndarray, slack) -> bool:
+    """``min_eig_check`` on a float64 array that it overwrites, which spares a large block a copy."""
+    if np.any(np.asarray(slack) < 0):
         raise ValueError("slack must be nonnegative")
-    a = np.array(s, dtype=np.float64)  # a copy: its diagonal is overwritten below
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):

@@ -2,20 +2,22 @@
 
 A certificate records every number the soundness argument needs: the
 decomposition shape, per-block certified norm bounds for the light side, the
-dual diagonal certificate for the heavy side, and the combination arithmetic.
+dual diagonal certificates of the SDP bounds, and the combination
+arithmetic.  An instance with one part (ell = 1) is plain 2-XOR and is
+bounded by one SDP dual on its whole symmetric pair matrix (``whole``);
+any other has a light side and a heavy side.
 
-Every recorded number except the heavy side's dual is a deterministic
-function of the instance, ``eps`` and the config, and one function,
-``_build_payload``, computes all of them.  ``refute_kxor`` and
-``refute_partitioned`` call it with a dual solved by ``inf1_upper``.
-``verify_certificate_detailed`` calls it with the recorded dual, which must
-match the heavy matrix's shape, have no negative entry, and make
-Z(d) + slack*I pass ``min_eig_check``, the Cholesky check that
-``inf1_upper`` ran on it; the SDP is never re-solved.  The
-verifier then compares the rebuilt payload with the recorded one exactly:
-the same keys, the same list lengths, and leaves of the same type and value.
-Floats round-trip exactly through JSON, so an honest certificate matches bit
-for bit, and a one-ulp shave is rejected.
+Every recorded number except the SDP duals is a deterministic function of
+the instance, ``eps`` and the config, and one function, ``_build_payload``,
+computes all of them.  ``refute_kxor`` and ``refute_partitioned`` call it
+with duals solved by ``sdp.inf1_upper``.  ``verify_certificate_detailed``
+calls it with the recorded duals, each of which must match its matrix's
+shape, have no negative entry, and make Z(d) + slack*I pass
+``min_eig_check``, the Cholesky check that ``inf1_upper`` ran on it; the SDP
+is never re-solved.  The verifier then compares the rebuilt payload with the
+recorded one exactly: the same keys, the same list lengths, and leaves of
+the same type and value.  Floats round-trip exactly through JSON, so an
+honest certificate matches bit for bit, and a one-ulp shave is rejected.
 
 A mismatched leaf is reported as ``"<path> does not re-derive"``, with the
 path dotted and list indices in brackets (``light.report.blocks[0].norm_upper``).
@@ -34,10 +36,11 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import KXorInstance, PartitionedInstance, instance_digest
+from . import sdp
 from .linalg import min_eig_check
 from .reduce import bipartite_matrix, decompose, kxor_to_partitioned
-from .sdp import DualCert, inf1_upper, two_xor_value, z_matrix
-from .spectral import certify_dbounded
+from .sdp import DualCert, two_xor_value, z_matrix
+from .spectral import certify_dbounded, side_fits
 
 SCHEMA = "cert_v1"
 TOOL_VERSION = "0.1.0"
@@ -101,23 +104,40 @@ def _side_mode(m_side: int, small: float, active: str) -> str:
     return active
 
 
-def _heavy_report(mat: np.ndarray, dual: DualCert, eps_half: float, m2: int) -> dict:
-    """The heavy side's report: the dual's bound and the value bound it implies."""
+def _sdp_report(mat: np.ndarray, dual: DualCert, eps: float, m: int) -> dict:
+    """An SDP side's report: the dual's bound and the value bound it implies."""
     bound = dual.bound()
-    val_upper, status = two_xor_value(bound, eps_half, m2)
+    val_upper, status = two_xor_value(bound, eps, m)
     rows, cols = mat.shape
-    return {"eps": eps_half, "rows": rows, "cols": cols, "status": status,
+    return {"eps": eps, "rows": rows, "cols": cols, "status": status,
             "bound": bound, "val_upper": val_upper, "dual": dual.to_json_dict()}
 
 
-def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_dual) -> dict:
-    """The payload for inst (digest: its instance_digest); heavy_dual(matrix) gives the dual.
+def _whole_matrix(psi: PartitionedInstance) -> np.ndarray:
+    """A = sum_c s_c (e_u e_v^T + e_v e_u^T) / 2, so that x^T A x is the advantage at x.
 
-    A k-XOR instance is reduced to partitioned 2-XOR first.  Both sides are
-    certified at eps/2; a side smaller than eps*m/2 is bounded trivially by
-    its own size; the certified combined value is (light bound + heavy
-    bound) / m, and the outcome is REFUTED exactly when it is at most
-    1/2 + eps.
+    Its entries are halves of integer sums, so A is exact and exactly symmetric.
+    """
+    one_sided = np.zeros((psi.n, psi.n))
+    _, u, v, s = psi.constraints.T
+    np.add.at(one_sided, (u, v), s)
+    return (one_sided + one_sided.T) / 2.0
+
+
+def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for) -> dict:
+    """The payload for inst (digest: its instance_digest); dual_for(key, matrix) gives a dual.
+
+    A k-XOR instance is reduced to partitioned 2-XOR first.  With one part
+    (ell = 1: every even k, and 2-XOR) the instance is plain 2-XOR, whose
+    advantage sum_c s_c x_u x_v = x^T A x is at most the infinity-to-one
+    norm of A, so one SDP dual on A ("whole") bounds the value by
+    1/2 + bound/(2m); ``light`` and ``heavy`` then carry no report.
+    Otherwise both sides are certified at eps/2; a side smaller than
+    eps*m/2, or a light side too large to build (``side_fits``), is
+    bounded trivially by its own size; the certified combined value is
+    (light bound + heavy bound) / m.  The outcome is REFUTED exactly when
+    the certified value is at most 1/2 + eps.  ``decomposition`` is
+    recorded either way.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -131,25 +151,34 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
     small = 0.5 * eps * m
     eps_half = 0.5 * eps
 
-    light = {"mode": _side_mode(m1, small, "spectral"), "m": m1, "side_bound": float(m1),
-             "report": None}
-    if light["mode"] == "spectral":
-        report = certify_dbounded(dec.light, eps_half, config, d_bound=dec.d_cap).to_json_dict()
-        light.update(side_bound=_side_bound(m1, report["val_upper"]), report=report)
-    heavy = {"mode": _side_mode(m2, small, "sdp"), "m": m2, "side_bound": float(m2),
-             "report": None}
-    if heavy["mode"] == "sdp":
-        mat = bipartite_matrix(dec.heavy)
-        report = _heavy_report(mat, heavy_dual(mat), eps_half, m2)
-        heavy.update(side_bound=_side_bound(m2, report["val_upper"]), report=report)
-
-    if m2 < small:
-        case = "heavy-small"
-    elif m1 < small:
-        case = "light-small"
+    whole = None
+    if psi.ell == 1:
+        mat = _whole_matrix(psi)
+        whole = _sdp_report(mat, dual_for("whole", mat), eps, m)
+        light = {"mode": "whole", "m": m1, "side_bound": float(m1), "report": None}
+        heavy = {"mode": "whole", "m": m2, "side_bound": float(m2), "report": None}
+        case, certified = "whole", whole["val_upper"]
     else:
-        case = "both-large"
-    combined = (light["side_bound"] + heavy["side_bound"]) / m
+        active = "spectral" if side_fits(dec.light.n) else "trivial"
+        light = {"mode": _side_mode(m1, small, active), "m": m1, "side_bound": float(m1),
+                 "report": None}
+        if light["mode"] == "spectral":
+            report = certify_dbounded(dec.light, eps_half, config,
+                                      d_bound=dec.d_cap).to_json_dict()
+            light.update(side_bound=_side_bound(m1, report["val_upper"]), report=report)
+        heavy = {"mode": _side_mode(m2, small, "sdp"), "m": m2, "side_bound": float(m2),
+                 "report": None}
+        if heavy["mode"] == "sdp":
+            mat = bipartite_matrix(dec.heavy)
+            report = _sdp_report(mat, dual_for("heavy", mat), eps_half, m2)
+            heavy.update(side_bound=_side_bound(m2, report["val_upper"]), report=report)
+        if m2 < small:
+            case = "heavy-small"
+        elif m1 < small:
+            case = "light-small"
+        else:
+            case = "both-large"
+        certified = min(1.0, (light["side_bound"] + heavy["side_bound"]) / m)
     payload = {
         "schema": SCHEMA,
         "tool": "xorcert",
@@ -158,8 +187,8 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
         "instance_digest": digest,
         "eps": eps,
         "config": config.to_json_dict(),
-        "outcome": REFUTED if combined <= 0.5 + eps else UNKNOWN,
-        "certified_val_upper": min(1.0, combined),
+        "outcome": REFUTED if certified <= 0.5 + eps else UNKNOWN,
+        "certified_val_upper": certified,
         "combination_case": case,
         "decomposition": {
             "d_cap": dec.d_cap, "m_light": m1, "m_heavy": m2,
@@ -167,6 +196,7 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
         },
         "light": light,
         "heavy": heavy,
+        "whole": whole,
     }
     if red is not None:
         payload["reduction"] = {
@@ -182,7 +212,7 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, heavy_du
 def _refute(inst, eps: float, config: RefuteConfig | None) -> Certificate:
     config = config or DEFAULT_CONFIG
     return Certificate(payload=_build_payload(inst, instance_digest(inst), eps, config,
-                                              lambda mat: inf1_upper(mat)[1]))
+                                              lambda key, mat: sdp.inf1_upper(mat)[1]))
 
 
 def refute_partitioned(inst: PartitionedInstance, eps: float,
@@ -202,17 +232,23 @@ def refute_kxor(inst: KXorInstance, eps: float,
 # ---------------------------------------------------------------------------
 
 class _DualRejected(Exception):
-    """The recorded heavy-side dual fails one of its checks."""
+    """A recorded SDP dual fails one of its checks."""
 
 
 def _checked_dual(data: dict, mat: np.ndarray) -> DualCert:
-    """Parse a recorded dual and check that it certifies Z(d) + slack*I PSD."""
+    """Parse a recorded dual and check that it certifies Z(d) + slack*I PSD.
+
+    The dual must also be in the prover's form (``sdp._rounded``): d on its
+    grid and the slack worked out from d, so that each bound has one dual.
+    """
     dual = DualCert.from_json_dict(data)  # non-finite entries raise ValueError
     if (len(dual.d_left), len(dual.d_right)) != mat.shape:
         raise _DualRejected("dual certificate dimensions do not match")
     d = np.array(dual.d_left + dual.d_right, dtype=float)
     if dual.slack < 0 or (d < 0).any():
         raise _DualRejected("dual certificate has negative entries")
+    if sdp._rounded(mat, d) != dual:
+        raise _DualRejected("dual certificate is off its grid or has a different slack")
     if not min_eig_check(z_matrix(mat, d), dual.slack):
         raise _DualRejected("dual certificate fails the PSD check")
     return dual
@@ -273,9 +309,8 @@ def verify_certificate_detailed(cert: Certificate, inst) -> tuple[bool, list[str
             return False, [f"unknown certificate kind {kind!r}"]
         if not isinstance(inst, KXorInstance if kind == "kxor" else PartitionedInstance):
             return False, ["certificate kind does not match the instance"]
-        rebuilt = _build_payload(
-            inst, digest, eps, config,
-            lambda mat: _checked_dual(payload["heavy"]["report"]["dual"], mat))
+        rebuilt = _build_payload(inst, digest, eps, config, lambda key, mat: _checked_dual(
+            (payload["whole"] if key == "whole" else payload["heavy"]["report"])["dual"], mat))
     except _DualRejected as exc:
         return False, [str(exc)]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

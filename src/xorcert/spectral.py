@@ -13,15 +13,13 @@ vertex pairs: with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i),
 an exact identity (entries of M pair distinct constraint pairs only; the
 diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
-Each block is built explicitly, which gives its nnz and l1 bound, from one
-list of M's terms.  A side with n^2 <= _DENSE_CAP pairs sums them into M
-as a dense array and cuts every block from it, and all of them take the
-dense norm path; a larger side merges them once into a ``SparseMat`` and
-cuts every block from its entries.  Power iteration on a block above the
-dense cap takes its products from M's Kronecker factors (``PairFactors``)
-when they cost less than the block's entries, which holds for few parts
-with many edges each (4 sum_i t_i^2 >> ell n^3), and from the explicit
-block otherwise.
+x@x is swap-symmetric, so every block is built folded onto unordered pairs
+(``_accumulate_blocks``), as a dense array of at most n(n+1)/2 rows, and
+bounded by ``weighted_norm``: one eigen or singular value solve proposes
+the norm, and the Cholesky check on u W -+ C certifies it, with W the
+number of ordered pairs behind each row.  A side with more than
+``_DENSE_CAP`` unordered pairs is not built; the pipeline bounds it by its
+size.
 
 Every table is an array built from the instance's constraint rows: mu as
 rows (part, u, v, mu) sorted by part, u and v (``mu_rows``), the degree
@@ -33,23 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import DegreeProfile, PartitionedInstance, ValueEq, degree_profile
-from .linalg import _DENSE_CAP, SparseMat, bernstein_threshold, spectral_norm
-
-# power iteration takes a block's products from the factors when one product
-# there costs at most this many multiply-adds per entry of the explicit
-# block.  On one thread of a 2-core VM a COO entry costs 8-12 ns per product
-# and a gemm multiply-add 0.08-0.16 ns, so the two break even near 80.
-# light4's block needs 4 per entry (0.16 ms against 2.0 ms per product);
-# 3-XOR n = 100, m = 1000 needs 1900 (12 ms against 0.5 ms).  Within the
-# rule the factors' arrays, ell n^2 floats each with n^2 > 512 above the
-# cap, also hold fewer numbers than the block.
-_FACTOR_MADDS_PER_NNZ = 32
+from .linalg import _DENSE_CAP, bernstein_threshold, weighted_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,85 +108,24 @@ def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: in
     )
 
 
-class PairFactors:
-    """The canonical pair matrix in Kronecker form, for products with its blocks.
-
-    With A_i the symmetric n x n table of part i's mu (A_i[u, v] = A_i[v, u]
-    = mu_i({u, v})), s_i = 1/sqrt(t_i) and A2 = sum_i s_i A_i o A_i,
-
-        M = sum_i s_i (A_i (x) A_i - D_i),
-
-    where D_i holds the e = f terms: edge {u, v} sends X[v, u] to pair (u, v)
-    and X[v, v] to pair (u, u).  So for x = vec(X) on pairs v * n + v',
-
-        M x = vec(sum_i s_i A_i X A_i - A2 o X^T - Diag(A2 diag(X))),
-
-    with no diagonal in A_i.  A product costs ``madds`` = 2 ell n^3
-    multiply-adds, whatever the block, against the 4 sum_i t_i^2 entries of
-    the explicit matrix.  Parts with fewer than two edges contribute nothing
-    and are left out; ``parts`` holds the others as (s_i, eu, ev, ew), which
-    ``_pair_terms`` also reads.  The dense factors are built on the first
-    product, so light sides whose blocks all take the dense norm path or
-    the explicit product never build them.
-    """
-
-    def __init__(self, n: int, parts: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]):
-        self.n = n
-        self.parts = parts  # (s_i, eu, ev, ew) per part with at least two edges
-
-    @property
-    def madds(self) -> int:
-        """Multiply-adds of one product: two n x n by n x (ell n) matrix products."""
-        return 2 * len(self.parts) * self.n ** 3
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, ell = self.n, len(self.parts)
-        tables = np.zeros((ell, n, n))
-        scales = np.empty(ell)
-        for i, (scale, eu, ev, ew) in enumerate(self.parts):
-            tables[i, eu, ev] = ew
-            tables[i, ev, eu] = ew
-            scales[i] = scale
-        # [A_1 ... A_ell] and [s_1 A_1 ... s_ell A_ell], n x (ell n) each
-        wide = tables.transpose(1, 0, 2).reshape(n, ell * n)
-        scaled = (tables * scales[:, None, None]).transpose(1, 0, 2).reshape(n, ell * n)
-        a2 = np.einsum("i,ipq->pq", scales, tables * tables)
-        return wide, scaled, a2
-
-    def apply(self, x: np.ndarray, in_pairs: np.ndarray, out_pairs: np.ndarray) -> np.ndarray:
-        """(M z)[out_pairs], where z is x on the pairs in_pairs and zero elsewhere."""
-        n, ell = self.n, len(self.parts)
-        wide, scaled, a2 = self._factors
-        flat = np.zeros(n * n)
-        flat[in_pairs] = x
-        xm = flat.reshape(n, n)
-        # rows i*n .. i*n+n-1 of the stack hold X A_i
-        stack = (xm @ wide).reshape(n, ell, n).transpose(1, 0, 2).reshape(ell * n, n)
-        y = scaled @ stack
-        y -= a2 * xm.T
-        y[np.diag_indices(n)] -= a2 @ np.diagonal(xm)
-        return y.ravel()[out_pairs]
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One weight-class block of the canonical pair matrix, on its support.
+    """One weight-class block of the folded pair matrix, on its support.
 
-    ``mat`` holds the block explicitly: a dense array when the light side
-    has at most ``_DENSE_CAP`` pairs, where every block takes the dense norm
-    path, and a ``SparseMat`` otherwise.  ``matvec`` and ``rmatvec`` give
-    the same products through the light side's shared ``factors`` (the pair
-    matrix is symmetric, so the transpose swaps the supports).
-    ``power_op`` is whichever of the two costs less per product.
+    ``mat`` is dense, with one row per unordered pair {u, v} (u <= v) of
+    class j and one column per pair of class k where the block has an
+    entry; ``row_pairs`` and ``col_pairs`` encode them as u * n + v.  An
+    entry sums M over the ordered pairs behind its row and column, and
+    ``row_w`` and ``col_w`` count those pairs: 2 for u != v, 1 for u = v.
     """
 
     j: int
     k: int
-    mat: SparseMat | np.ndarray
-    row_pairs: np.ndarray  # flat encodings v * n + v' of the ordered row pairs
+    mat: np.ndarray
+    row_pairs: np.ndarray
     col_pairs: np.ndarray
-    factors: PairFactors
+    row_w: np.ndarray
+    col_w: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -207,108 +133,81 @@ class Block:
 
     @property
     def nnz(self) -> int:
-        if isinstance(self.mat, SparseMat):
-            return self.mat.nnz
         return int(np.count_nonzero(self.mat))
 
-    @property
-    def power_op(self) -> "Block | SparseMat | np.ndarray":
-        """The block itself (factored products) if they are cheaper, else ``mat``."""
-        if self.factors.madds <= _FACTOR_MADDS_PER_NNZ * self.nnz:
-            return self
-        return self.mat
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.factors.apply(x, self.col_pairs, self.row_pairs)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.factors.apply(y, self.row_pairs, self.col_pairs)
+def side_fits(n: int) -> bool:
+    """Whether a light side on n vertices has at most ``_DENSE_CAP`` unordered pairs."""
+    return n * (n + 1) // 2 <= _DENSE_CAP
 
 
-def _pair_factors(profile: DegreeProfile, mu: np.ndarray) -> PairFactors:
-    """The factors of the pair matrix from mu's rows (part, u, v, mu), sorted by part."""
+def _pair_terms(profile: DegreeProfile, mu: np.ndarray):
+    """Each part's e != f terms of M in part order, as (s_i, row pairs, column pairs, products).
+
+    mu holds the rows (part, u, v, mu), sorted by part.  Every ordered pair
+    of distinct edges e, f of part i, each taken in both orientations
+    (p1, q1) and (p2, q2), adds mu_i(e) mu_i(f) s_i, with s_i = 1/sqrt(t_i),
+    at row pair p1 n + p2 and column pair q1 n + q2, a position that no
+    other term of the part reaches.  A part yields its 4 t_i (t_i - 1)
+    terms at once, with the integer products mu_i(e) mu_i(f) unscaled;
+    parts with fewer than two edges have none.  The e = f terms sit at
+    pairs (u, u) x (v, v) and (u, v) x (v, u), which no e != f term
+    reaches, so leaving them out leaves those entries 0.
+    """
+    n = profile.n
     lo = np.searchsorted(mu[:, 0], profile.part_ids, side="left").tolist()
     hi = np.searchsorted(mu[:, 0], profile.part_ids, side="right").tolist()
-    edges = mu[:, 1:].T
-    parts = []
     for t, a, b in zip(profile.t.tolist(), lo, hi):
-        if b - a >= 2:  # entries need two distinct edges in the part
-            eu, ev, ew = edges[:, a:b]
-            parts.append((1.0 / math.sqrt(t), eu, ev, ew.astype(np.float64)))
-    return PairFactors(profile.n, parts)
-
-
-def _pair_terms(factors: PairFactors):
-    """Each part's e != f terms of M in part order, as (row pairs, column pairs, values).
-
-    Every ordered pair of distinct edges e, f of part i, each taken in both
-    orientations (p1, q1) and (p2, q2), adds mu_i(e) mu_i(f) s_i at row pair
-    p1 n + p2 and column pair q1 n + q2, a position that no other term of
-    the part reaches.  A part yields its 4 t_i (t_i - 1) terms at once.
-    The e = f terms, D_i, sit at pairs (u, u) x (v, v) and (u, v) x (v, u),
-    which no e != f term reaches, so leaving them out leaves those entries 0.
-    """
-    n = factors.n
-    for scale, eu, ev, ew in factors.parts:
-        edge = np.arange(2 * len(ew)) % len(ew)  # the edge of each orientation
+        if b - a < 2:
+            continue
+        _, eu, ev, ew = mu[a:b].T
+        edge = np.arange(2 * (b - a)) % (b - a)  # the edge of each orientation
         distinct = edge[:, None] != edge[None, :]
         p, q, w = np.concatenate([eu, ev]), np.concatenate([ev, eu]), np.concatenate([ew, ew])
-        yield (np.add.outer(p * n, p)[distinct], np.add.outer(q * n, q)[distinct],
-               (np.multiply.outer(w, w) * scale)[distinct])
+        yield (1.0 / math.sqrt(t), np.add.outer(p * n, p)[distinct],
+               np.add.outer(q * n, q)[distinct], np.multiply.outer(w, w)[distinct])
 
 
 def _accumulate_blocks(profile: DegreeProfile, mu: np.ndarray,
                        partition: WeightClassPartition) -> dict[tuple[int, int], Block]:
-    """Every nonzero block of the pair matrix M, from the terms of ``_pair_terms``.
+    """Every nonzero block of the pair matrix M, folded onto unordered pairs.
 
-    A side with n^2 <= ``_DENSE_CAP`` pairs adds the terms into a dense M
-    part by part with ``np.add.at``, so each entry sums its terms in part
-    order with elementwise operations only: no BLAS call, whose bytes would
-    follow the thread count.  M takes n^4 <= 2^20 floats (8 MB), and each
-    block is cut from it with its all-zero rows and columns dropped.  Every
-    block of such a side takes the dense norm path: a diagonal block is
-    symmetric with at most |S_j| <= n^2 rows, and an off-diagonal block has
-    rows + cols <= |S_j| + |S_k| <= n^2.  A larger side merges the terms
-    once into a ``SparseMat``, which drops entries that cancel, and cuts
-    every block from the merged entries.  Either way a block's rows and
-    columns are the pairs where it has an entry.
+    M commutes with the swap (v, v') <-> (v', v), the weight classes are
+    swap-closed (gamma is exactly symmetric) and x (x) x is swap-symmetric,
+    so (x (x) x)^T M (x (x) x) = z^T C z with z_{uv} = x_u x_v over the
+    N = n(n+1)/2 unordered pairs and C = F M F^T, where F sums the ordered
+    pairs behind each unordered one.  Each part's terms are summed per
+    position of C as integers, then scaled by s_i once and added in part
+    order, with elementwise operations only: no BLAS call, whose bytes
+    would follow the thread count, and C comes out exactly symmetric.
+    Each block is cut from C with its all-zero rows and columns dropped,
+    so its rows and columns are the pairs where it has an entry.
     """
-    factors = _pair_factors(profile, mu)
-    if not factors.parts:
-        return {}
-    pairs = profile.n ** 2
-    classes = partition.classes.ravel()
+    n = profile.n
+    if not side_fits(n):
+        raise ValueError(f"{n * (n + 1) // 2} unordered pairs exceed the dense cap {_DENSE_CAP}")
+    u, v = np.triu_indices(n)
+    size = len(u)
+    fold = np.empty((n, n), dtype=np.int64)  # the row of C behind each ordered pair
+    fold[u, v] = fold[v, u] = np.arange(size)
+    folded = np.zeros(size * size)
+    for scale, rows, cols, products in _pair_terms(profile, mu):
+        at, slot = np.unique(fold.flat[rows] * size + fold.flat[cols], return_inverse=True)
+        folded[at] += np.bincount(slot, weights=products) * scale
+    folded = folded.reshape(size, size)
+    pairs, weights = u * n + v, np.where(u == v, 1.0, 2.0)
+    live, classes = folded.any(axis=1), partition.classes[u, v]
+    members = [np.flatnonzero(live & (classes == j)) for j in range(partition.levels + 1)]
     blocks: dict[tuple[int, int], Block] = {}
-    if pairs <= _DENSE_CAP:
-        pair_matrix = np.zeros(pairs * pairs)
-        for rows, cols, vals in _pair_terms(factors):
-            np.add.at(pair_matrix, rows * pairs + cols, vals)
-        pair_matrix = pair_matrix.reshape(pairs, pairs)
-        members = [np.flatnonzero(classes == j) for j in range(partition.levels + 1)]
-        for j, in_j in enumerate(members):
-            for k, in_k in enumerate(members):
-                sub = pair_matrix[np.ix_(in_j, in_k)]
-                live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
-                if live_rows.any():
-                    blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
-                                           row_pairs=in_j[live_rows],
-                                           col_pairs=in_k[live_cols], factors=factors)
-        return blocks
-    terms = (np.concatenate(arrays) for arrays in zip(*_pair_terms(factors)))
-    merged = SparseMat.from_arrays(pairs, pairs, *terms)
-    side = partition.levels + 1
-    codes = classes[merged.r] * side + classes[merged.c]
-    order = np.argsort(codes, kind="stable")  # keeps each block's entries in (row, col) order
-    ends = np.searchsorted(codes[order], np.arange(side * side + 1))
-    for code in range(side * side):
-        at = order[ends[code]:ends[code + 1]]
-        if len(at):
-            row_pairs, r = np.unique(merged.r[at], return_inverse=True)
-            col_pairs, c = np.unique(merged.c[at], return_inverse=True)
-            j, k = divmod(code, side)
-            mat = SparseMat.from_arrays(len(row_pairs), len(col_pairs), r, c, merged.v[at])
-            blocks[(j, k)] = Block(j=j, k=k, mat=mat, row_pairs=row_pairs,
-                                   col_pairs=col_pairs, factors=factors)
+    for j, in_j in enumerate(members):
+        for k, in_k in enumerate(members):
+            sub = folded[np.ix_(in_j, in_k)]
+            live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
+            if live_rows.any():
+                rows, cols = in_j[live_rows], in_k[live_cols]
+                blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
+                                       row_pairs=pairs[rows], col_pairs=pairs[cols],
+                                       row_w=weights[rows], col_w=weights[cols])
     return blocks
 
 
@@ -447,7 +346,11 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
     """Certify max_x Phi(x) <= phi_total_bound; SUCCESS iff it beats the threshold.
 
     The certified bound is (1/4) sum_{j,k} sqrt(|S_j| |S_k|) ||M_{j,k}|| + Q,
-    assembled from per-block certified norm uppers; the threshold
+    assembled from per-block certified norm uppers, where ||M_{j,k}|| is
+    the norm on swap-symmetric vectors: the folded block's
+    ||W_j^-1/2 C_{j,k} W_k^-1/2||, as ||z_j||_W^2 = ||(x@x)_{S_j}||^2 <= |S_j|.
+    A side with more than ``_DENSE_CAP`` unordered pairs raises ValueError
+    (``side_fits``).  The threshold
     4 eps^2 m^{3/2} / sqrt(ell) comes from the potential lower bound at any
     assignment of value >= 1/2 + eps.
     """
@@ -474,7 +377,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         j, k = key
         size_j = partition.sizes[j]
         size_k = partition.sizes[k]
-        nb = spectral_norm(block.mat, op=block.power_op)
+        nb = weighted_norm(block.mat, block.row_w, block.col_w)
         contribution = block_contribution(size_j, size_k, nb.upper)
         sigma2 = block_variance_bound(partition, j, k)
         r_bound = block_r_bound(partition, j, k, d_used)

@@ -3,7 +3,8 @@
 Each one recomputes, the slow and obvious way, something the library derives
 cleverly: the heavy/light split by repeated stripping, the signed pair
 multiplicities mu_i and the butterfly degrees by loops over the constraints,
-single blocks and single-part blocks of the canonical pair matrix, the
+the canonical pair matrix over ordered pairs and its single blocks and
+single-part blocks, the
 potential Phi evaluated directly and through the blocks, the exact block
 variance norm, the heavy side pulled back to partitioned constraints, the
 heavy side's bipartite relaxation optimum, a rounding lower bound on the
@@ -81,32 +82,74 @@ def build_blocks(inst: PartitionedInstance, partition: WeightClassPartition,
     return _accumulate_blocks(profile, inst.mu_rows(), partition)
 
 
+def pair_matrix_reference(inst: PartitionedInstance) -> np.ndarray:
+    """The canonical pair matrix M over ordered pairs v * n + v', summed term by term.
+
+    Every ordered pair of distinct nonzero edges e, f of a part, each in both
+    orientations (p1, q1) and (p2, q2), adds mu(e) mu(f) / sqrt(t) at row
+    pair (p1, p2) and column pair (q1, q2).
+    """
+    n = inst.n
+    sizes: dict[int, int] = {}
+    for part in inst.constraints[:, 0].tolist():
+        sizes[part] = sizes.get(part, 0) + 1
+    out = np.zeros((n * n, n * n))
+    for part, table in mu_tables(inst).items():
+        scale = 1.0 / math.sqrt(sizes[part])
+        edges = [(e, w) for e, w in table.items() if w != 0]
+        for i, (e, we) in enumerate(edges):
+            for j, (f, wf) in enumerate(edges):
+                if i != j:
+                    for p1, q1 in (e, e[::-1]):
+                        for p2, q2 in (f, f[::-1]):
+                            out[p1 * n + p2, q1 * n + q2] += we * wf * scale
+    return out
+
+
+def ordered_block(inst: PartitionedInstance, partition: WeightClassPartition,
+                  j: int, k: int) -> np.ndarray:
+    """The explicit (j, k) block of M over ordered pairs, all-zero rows and columns dropped."""
+    classes = partition.classes.ravel()
+    sub = pair_matrix_reference(inst)[np.ix_(classes == j, classes == k)]
+    return sub[np.ix_(sub.any(axis=1), sub.any(axis=0))]
+
+
+def symmetric_block_norm(inst: PartitionedInstance, partition: WeightClassPartition,
+                         j: int, k: int) -> float:
+    """Top singular value of the ordered (j, k) block on swap-symmetric vectors.
+
+    The basis is orthonormal: (e_(u,v) + e_(v,u)) / sqrt(2) for u < v and
+    e_(u,u), over the unordered pairs of each class.
+    """
+    n = inst.n
+
+    def basis(cls: int) -> np.ndarray:
+        columns = []
+        for u in range(n):
+            for v in range(u, n):
+                if partition.classes[u, v] == cls:
+                    e = np.zeros(n * n)
+                    e[u * n + v] = e[v * n + u] = 1.0 if u == v else 1.0 / math.sqrt(2.0)
+                    columns.append(e)
+        return np.array(columns).reshape(-1, n * n).T
+
+    sub = basis(j).T @ pair_matrix_reference(inst) @ basis(k)
+    return float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
+
+
 def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
                 j: int, k: int) -> SparseMat:
-    """The (j, k) block alone (empty matrix when it has no entries)."""
-    blocks = build_blocks(inst, partition)
-    if (j, k) in blocks:
-        return SparseMat.from_dense(block_dense(blocks[(j, k)]))
-    return SparseMat.from_arrays(0, 0, [], [], [])
+    """The ordered (j, k) block alone (empty matrix when it has no entries)."""
+    return SparseMat.from_dense(ordered_block(inst, partition, j, k))
 
 
 def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
                      slot: int, j: int, k: int) -> SparseMat:
-    """Single-part contribution B_{i,j,k} (for bound cross-checks)."""
-    profile = degree_profile(inst)
-    one = slice(slot, slot + 1)
-    sub = DegreeProfile(n=profile.n, part_ids=profile.part_ids[one], t=profile.t[one],
-                        deg=profile.deg[one])
-    mu = inst.mu_rows()
-    blocks = _accumulate_blocks(sub, mu[mu[:, 0] == profile.part_ids[slot]], partition)
-    if (j, k) in blocks:
-        return SparseMat.from_dense(block_dense(blocks[(j, k)]))
-    return SparseMat.from_arrays(0, 0, [], [], [])
-
-
-def block_dense(block: Block) -> np.ndarray:
-    """A block's entries as a dense array, whichever form it was built in."""
-    return block.mat.to_dense() if isinstance(block.mat, SparseMat) else block.mat
+    """Single-part contribution B_{i,j,k} over ordered pairs (for bound cross-checks)."""
+    part = degree_profile(inst).part_ids[slot]
+    rows = inst.constraints[inst.constraints[:, 0] == part]
+    one = PartitionedInstance(n=inst.n, ell=inst.ell, constraints=rows)
+    return build_block(one, partition, j, k)
 
 
 def mu_tables(inst: PartitionedInstance) -> dict[int, dict[tuple[int, int], int]]:
@@ -164,12 +207,12 @@ def phi1_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
 
 def phi1_from_blocks(blocks: dict[tuple[int, int], Block], x: np.ndarray,
                      c0: float, n: int) -> float:
-    """Evaluate Phi_1 through the block quadratic form; exact identity check."""
+    """Evaluate Phi_1 through the folded blocks' quadratic form; exact identity check."""
     form = 0.0
     for block in blocks.values():
         zr = x[block.row_pairs // n] * x[block.row_pairs % n]
         zc = x[block.col_pairs // n] * x[block.col_pairs % n]
-        form += float(zr @ (block_dense(block) @ zc))
+        form += float(zr @ (block.mat @ zc))
     return form / 4.0 + c0
 
 

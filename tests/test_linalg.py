@@ -112,24 +112,23 @@ def test_spectral_norm_near_degenerate_top(seed):
     assert nb.method == "dense-cholesky"
 
 
-@pytest.mark.parametrize("shape", [(1025, 1025), (513, 512)], ids=["symmetric", "rectangular"])
-def test_spectral_norm_power_path_above_the_cap(shape):
+@pytest.mark.parametrize("shape", [(5051, 5051), (2526, 2525)], ids=["symmetric", "rectangular"])
+def test_spectral_norm_above_the_cap_is_the_l1_bound(shape):
+    # past the dense cap there is no sound u, so the upper is the l1 bound
     gen = np.random.default_rng(3)
     rows, cols = shape
-    a = _random_sparse(gen, rows, cols, density=0.005)
-    a[0, :40] += 3.0  # a clear top singular value, so the iteration converges
+    r, c, v = gen.integers(0, rows, 400), gen.integers(0, cols, 400), gen.standard_normal(400)
     if rows == cols:
-        a = a + a.T
-    nb = spectral_norm(SparseMat.from_dense(a))
-    sigma = float(np.linalg.svd(a, compute_uv=False)[0])
-    assert spectral_norm(a) == nb  # a dense array past the cap takes the same path
-    assert nb.method == "power-iteration-residual"
-    assert nb.lower <= sigma <= nb.upper
-    assert nb.upper - nb.lower <= 1e-6 * sigma
+        r, c, v = np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, v])
+    m = SparseMat.from_arrays(rows, cols, r, c, v)
+    nb = spectral_norm(m)
+    assert nb.method == "schur-l1"
+    assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
+    assert nb.lower <= m.abs_max() <= nb.upper  # every entry is below the norm
 
 
 def test_spectral_norm_falls_back_to_l1_when_the_check_fails(monkeypatch):
-    monkeypatch.setattr(xorcert.linalg, "min_eig_check", lambda s, slack: False)
+    monkeypatch.setattr(xorcert.linalg, "_shifted_cholesky", lambda a, slack: False)
     for a in ([[1.0, 2.0], [2.0, -1.0]], [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]):
         m = SparseMat.from_dense(a)
         nb = spectral_norm(m)
@@ -160,6 +159,16 @@ def test_min_eig_check():
 def test_min_eig_check_requires_finite_symmetric_square(s):
     with pytest.raises(ValueError):
         min_eig_check(s, slack=0.0)
+
+
+def test_min_eig_check_per_row_slack():
+    # [[a, 1], [1, b]] is PSD iff a, b >= 0 and a b >= 1
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert min_eig_check(off, np.array([2.0, 0.6]))
+    assert not min_eig_check(off, np.array([2.0, 0.4]))
+    assert not min_eig_check(off, np.array([4.0, 0.0]))
+    with pytest.raises(ValueError):
+        min_eig_check(off, np.array([1.0, -1.0]))
 
 
 def test_min_eig_check_leaves_its_input_alone():

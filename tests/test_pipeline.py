@@ -41,6 +41,13 @@ def dense_kxor():
     return inst, refute_kxor(inst, eps=0.25)
 
 
+@pytest.fixture(scope="module")
+def whole_kxor():
+    # even k reduces to one part, so one SDP dual bounds the whole instance
+    inst = gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))
+    return inst, refute_kxor(inst, eps=0.4)
+
+
 def _mutate(cert: Certificate, path: tuple, value) -> Certificate:
     payload = copy.deepcopy(cert.payload)
     node = payload
@@ -82,8 +89,13 @@ def test_zero_heavy_matrix_refutes_and_verifies(inst):
     refute = refute_kxor if isinstance(inst, KXorInstance) else refute_partitioned
     cert = refute(inst, eps=0.45)
     heavy = cert.payload["heavy"]
-    assert heavy["mode"] == "sdp" and heavy["m"] == inst.m
-    assert 0.0 < heavy["report"]["bound"] < 1e-300
+    if isinstance(inst, KXorInstance):
+        assert heavy["mode"] == "sdp" and heavy["m"] == inst.m
+        report = heavy["report"]
+    else:  # one part: the whole instance's pair matrix cancels to zero
+        assert heavy["mode"] == "whole" and heavy["m"] == inst.m
+        report = cert.payload["whole"]
+    assert 0.0 < report["bound"] < 1e-300
     assert cert.outcome == REFUTED and cert.certified_val_upper == 0.5 + 1e-12
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
@@ -99,8 +111,9 @@ def test_combination_case_heavy_small():
 
 
 def test_combination_case_light_small():
-    # k = 2 star: every pair meets vertex 0, so one group swallows everything
-    phi = gen_kxor(GenSpec(kind="star", n=16, m=300, seed=3, k=2))
+    # k = 3 star: every clause holds vertex 0, so part 0 gets every constraint
+    # and its groups, about 50 each, all go heavy
+    phi = gen_kxor(GenSpec(kind="star", n=12, m=300, seed=3, k=3))
     cert = refute_kxor(phi, eps=0.4)
     assert cert.payload["combination_case"] == "light-small"
     assert cert.payload["light"]["mode"] == "empty"
@@ -278,6 +291,47 @@ def test_verify_rejects_one_ulp_shave(dense_kxor, path):
     assert not ok and errors
 
 
+def test_verify_rejects_one_ulp_shave_of_any_whole_entry(whole_kxor):
+    # the dual must sit on its grid with the prover's slack, so even a shave
+    # that leaves Z(d) PSD and the bound's bytes alone is rejected
+    inst, cert = whole_kxor
+    whole = cert.payload["whole"]
+    assert cert.outcome == REFUTED and whole["rows"] == whole["cols"] == 79
+    paths = [("bound",), ("val_upper",), ("dual", "bound"), ("dual", "slack")]
+    paths += [("dual", side, i) for side in ("d_left", "d_right")
+              for i, d in enumerate(whole["dual"][side]) if d > 0.0]
+    assert len(paths) > 100
+    for path in paths:
+        node = whole
+        for key in path:
+            node = node[key]
+        ok, errors = verify_certificate_detailed(
+            _mutate(cert, ("whole",) + path, math.nextafter(node, 0.0)), inst)
+        assert not ok and errors, path
+
+
+def test_verify_rejects_infinite_slack_forgery_on_whole():
+    # planted 2-XOR (val = 1): a zero dual with infinite slack would pass
+    # every PSD check and claim a refutation
+    rng = np.random.default_rng(4)
+    hidden = rng.choice([-1, 1], size=20)
+    rows = []
+    for _ in range(1500):
+        u, v = sorted(int(x) for x in rng.choice(20, size=2, replace=False))
+        rows.append((0, u, v, int(hidden[u] * hidden[v])))
+    inst = PartitionedInstance.make(20, 1, rows)
+    cert = refute_partitioned(inst, eps=0.3)
+    assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0
+    payload = copy.deepcopy(cert.payload)
+    whole = payload["whole"]
+    whole["dual"].update(d_left=[0.0] * whole["rows"], d_right=[0.0] * whole["cols"],
+                         slack=math.inf, bound=1.0)
+    whole.update(bound=1.0, val_upper=0.5 + 1.0 / (2.0 * inst.m) + 1e-12, status="SUCCESS")
+    payload.update(certified_val_upper=whole["val_upper"], outcome=REFUTED)
+    ok, errors = verify_certificate_detailed(Certificate(payload=payload), inst)
+    assert not ok and errors[0].startswith("malformed certificate")
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_certificate_load_rejects_non_finite(tmp_path, dense_kxor, literal):
     _, cert = dense_kxor
@@ -340,17 +394,17 @@ def test_verify_rejects_non_object_payload(dense_kxor, payload):
     assert not ok and errors[0].startswith("malformed certificate")
 
 
-def test_verify_never_solves_the_sdp(dense_kxor, monkeypatch):
-    inst, cert = dense_kxor
-    assert cert.payload["heavy"]["mode"] == "sdp"
+def test_verify_never_solves_the_sdp(dense_kxor, whole_kxor, monkeypatch):
+    assert dense_kxor[1].payload["heavy"]["mode"] == "sdp"
+    assert whole_kxor[1].payload["whole"]["dual"]
 
     def solve(*args, **kwargs):
         raise AssertionError("the verifier solved the SDP")
 
     monkeypatch.setattr(xorcert.sdp, "inf1_upper", solve)
-    monkeypatch.setattr(xorcert.pipeline, "inf1_upper", solve)
     monkeypatch.setattr(xorcert.sdp, "_mixing_solve", solve)
-    assert verify_certificate_detailed(cert, inst) == (True, [])
+    for inst, cert in (dense_kxor, whole_kxor):
+        assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_verify_hashes_the_instance_once(dense_kxor, monkeypatch):
@@ -368,87 +422,67 @@ def test_verify_hashes_the_instance_once(dense_kxor, monkeypatch):
 
 
 def test_heavy_side_runs_no_power_iteration(monkeypatch):
-    # the light side is trivial here, so spectral_norm is never needed
+    # the light side is trivial here, so no light norm is ever needed
     inst = gen_kxor(GenSpec(kind="random", n=10, m=1500, seed=1, k=3))
 
-    def iterate(*args, **kwargs):
-        raise AssertionError("power iteration ran")
+    def solve(*args, **kwargs):
+        raise AssertionError("a light-side norm ran")
 
-    monkeypatch.setattr(xorcert.linalg, "_power_squared_run", iterate)
+    monkeypatch.setattr(xorcert.spectral, "weighted_norm", solve)
     cert = refute_kxor(inst, eps=0.4)
     assert cert.payload["light"]["mode"] == "trivial"
     assert cert.payload["heavy"]["mode"] == "sdp"
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
+def _norm_methods(monkeypatch) -> list[str]:
+    """The method of every light-block norm from now on, in call order."""
+    methods = []
+    weighted_norm = xorcert.spectral.weighted_norm
+
+    def record(*args):
+        nb = weighted_norm(*args)
+        methods.append(nb.method)
+        return nb
+
+    monkeypatch.setattr(xorcert.spectral, "weighted_norm", record)
+    return methods
+
+
 def test_light_side_below_the_dense_cap_runs_no_power_iteration(monkeypatch):
+    # every block is certified by the dense eigen proposal and its Cholesky checks
     inst = gen_kxor(GenSpec(kind="random", n=20, m=1200, seed=1, k=3))
-
-    def iterate(*args, **kwargs):
-        raise AssertionError("power iteration ran")
-
-    monkeypatch.setattr(xorcert.linalg, "_power_squared_run", iterate)
+    methods = _norm_methods(monkeypatch)
     cert = refute_kxor(inst, eps=0.3)
     assert cert.payload["light"]["mode"] == "spectral"
-    assert cert.payload["light"]["report"]["blocks"]
+    blocks = cert.payload["light"]["report"]["blocks"]
+    assert blocks and methods == ["dense-cholesky"] * len(blocks)
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
-def test_light_side_above_the_dense_cap_runs_through_the_factors(monkeypatch):
-    # one 6230-row light block (4-XOR, ell = 1), past the dense cap: refute and
-    # verify take every product from the Kronecker factors, none from the COO
-    inst = gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))
-    seen = []
-    spectral_norm = xorcert.spectral.spectral_norm
-
-    def record(m, *args, **kwargs):
-        seen.append(m)
-        return spectral_norm(m, *args, **kwargs)
-
-    def explicit(self, x):
-        raise AssertionError("explicit block product")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(xorcert.spectral, "spectral_norm", record)
-        patch.setattr(xorcert.linalg.SparseMat, "matvec", explicit)
-        patch.setattr(xorcert.linalg.SparseMat, "rmatvec", explicit)
-        cert = refute_kxor(inst, eps=0.4)
-        assert verify_certificate_detailed(cert, inst) == (True, [])
+def test_light_block_above_the_old_cap_is_certified_dense(monkeypatch):
+    # one class of 40^2 = 1600 ordered pairs, past the 1024-row cap where
+    # power iteration took over before; folded onto 820 unordered pairs it
+    # takes the dense eigen proposal and the Cholesky checks
+    inst = gen_kxor(GenSpec(kind="random", n=40, m=4000, seed=1, k=3))
+    methods = _norm_methods(monkeypatch)
+    cert = refute_kxor(inst, eps=0.3)
+    assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.65651
     (block,) = cert.payload["light"]["report"]["blocks"]
-    assert len(seen) == 2 and seen[0].rows > xorcert.linalg._DENSE_CAP
-    nb = spectral_norm(seen[0])
-    assert nb.method == "power-iteration-residual"
-    assert block["norm_upper"] == pytest.approx(nb.upper, rel=1e-12)
+    assert block["size_j"] == 1600 and methods == ["dense-cholesky"]
+    assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
-def test_many_part_light_side_above_the_dense_cap_keeps_the_explicit_product(monkeypatch):
-    # 3-XOR has one part per vertex: 38 sparse parts over n_psi = 50 give a
-    # 2382-row block with 87k entries, built as COO (n_psi^2 > _DENSE_CAP),
-    # and a factored product would cost 109 multiply-adds per entry, so
-    # power iteration keeps the COO product and the factors are never built
-    inst = gen_kxor(GenSpec(kind="random", n=50, m=800, seed=1, k=3))
-    seen = []
-    spectral_norm = xorcert.spectral.spectral_norm
-
-    def record(m, *args, op=None, **kwargs):
-        seen.append((m, op))
-        return spectral_norm(m, *args, op=op, **kwargs)
-
-    def factored(self, *args):
-        raise AssertionError("factored block product")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(xorcert.spectral, "spectral_norm", record)
-        patch.setattr(xorcert.spectral.PairFactors, "apply", factored)
-        cert = refute_kxor(inst, eps=0.3)
-        assert verify_certificate_detailed(cert, inst) == (True, [])
-    (block,) = cert.payload["light"]["report"]["blocks"]
-    assert len(seen) == 2 and all(op is m for m, op in seen)
-    assert all(isinstance(m, xorcert.linalg.SparseMat) for m, _ in seen)
-    assert seen[0][0].rows > xorcert.linalg._DENSE_CAP
-    nb = spectral_norm(seen[0][0])
-    assert nb.method == "power-iteration-residual"
-    assert block["norm_upper"] == nb.upper
+def test_light_side_above_the_cap_is_bounded_by_its_size(monkeypatch):
+    # a side with more unordered pairs than the cap is never built
+    monkeypatch.setattr(xorcert.spectral, "_DENSE_CAP", 200)  # below 20 * 21 / 2
+    inst = gen_kxor(GenSpec(kind="random", n=20, m=1200, seed=1, k=3))
+    cert = refute_kxor(inst, eps=0.3)
+    light = cert.payload["light"]
+    assert light["mode"] == "trivial" and light["report"] is None
+    assert light["side_bound"] == light["m"] > 0.5 * 0.3 * inst.m
+    assert cert.outcome == UNKNOWN
+    assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_presentation_does_not_drop_a_block_to_its_l1_bound():
@@ -480,16 +514,16 @@ _REFUTE_TO_STDOUT = (
 
 
 def test_certificate_bytes_independent_of_blas_threads():
-    # the dual and both bounds of every norm are rounded onto binary grids,
-    # so the last digits that the BLAS thread count changes never reach them;
-    # the 4-XOR input's light block is above the dense cap, where power
-    # iteration takes its products from the factors' matrix products, and
-    # at n=30 the dense path's Rayleigh quotient differs in its last digits
+    # the duals and both bounds of every norm are rounded onto binary grids,
+    # so the last digits that the BLAS thread count changes in the eigen and
+    # SDP solves never reach them; the 4-XOR input is bounded by one SDP on
+    # its whole pair matrix
     src = str(Path(__file__).resolve().parents[1] / "src")
     for n, m, k, eps, side, mode in ((20, 6000, 3, 0.4, "heavy", "sdp"),
                                      (20, 1200, 3, 0.3, "light", "spectral"),
                                      (30, 2000, 3, 0.3, "light", "spectral"),
-                                     (14, 300, 4, 0.4, "light", "spectral")):
+                                     (40, 4000, 3, 0.3, "light", "spectral"),
+                                     (14, 300, 4, 0.4, "light", "whole")):
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
@@ -565,11 +599,11 @@ _ODD_VALUES = [math.nan, math.inf, -math.inf, None, "1", True, [], {}]
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_verify_payload_fuzz(dense_kxor, data):
+def test_verify_payload_fuzz(dense_kxor, whole_kxor, data):
     # one leaf replaced by an odd value or moved one step, or one key removed
     # or added: the verifier never raises, rejects every change of key set,
     # and whatever it accepts still certifies the original bound and outcome
-    inst, cert = dense_kxor
+    inst, cert = data.draw(st.sampled_from([dense_kxor, whole_kxor]))
     payload = copy.deepcopy(cert.payload)
     leaves, dicts = _paths(payload)
     action = data.draw(st.sampled_from(["leaf", "delete", "add"]))

@@ -225,12 +225,13 @@ def test_mixing_bound_is_tight_on_a_516_by_40_heavy_side():
 
 
 def test_refute_2xor_random_succeeds():
-    # nearly every constraint goes heavy, so the dual alone refutes
+    # one part: one dual on the whole pair matrix refutes, although nearly
+    # every constraint would go heavy
     inst = gen_random_partitioned(30, 1, 4000, seed=1)
     cert = refute_partitioned(inst, eps=0.4)
-    heavy = cert.payload["heavy"]
-    assert heavy["m"] > 0.99 * inst.m and heavy["report"]["status"] == "SUCCESS"
-    assert heavy["report"]["bound"] <= 2 * 0.2 * heavy["m"]
+    whole = cert.payload["whole"]
+    assert cert.payload["heavy"]["m"] > 0.99 * inst.m and whole["status"] == "SUCCESS"
+    assert whole["bound"] <= 2 * 0.4 * inst.m
     assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.9
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
@@ -239,8 +240,7 @@ def test_refute_2xor_satisfiable_stays_unknown():
     # a perfectly satisfiable instance can never be refuted below val 1
     inst = PartitionedInstance(n=2, ell=1, constraints=((0, 0, 1, 1),) * 200)
     cert = refute_partitioned(inst, eps=0.3)
-    heavy = cert.payload["heavy"]
-    assert heavy["m"] == inst.m and heavy["report"]["status"] == "UNKNOWN"
+    assert cert.payload["heavy"]["m"] == inst.m and cert.payload["whole"]["status"] == "UNKNOWN"
     assert cert.outcome == UNKNOWN and cert.certified_val_upper == 1.0
     assert verify_certificate_detailed(cert, inst) == (True, [])
 

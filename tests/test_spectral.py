@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import xorcert.spectral
 from conftest import dupfree_partitioned
-from helpers import (block_dense, build_block, build_blocks, build_part_block,
-                     butterfly_reference, empirical_variance_norm, mu_tables, phi1_direct,
-                     phi1_from_blocks, phi_direct)
+from helpers import (build_block, build_blocks, build_part_block, butterfly_reference,
+                     empirical_variance_norm, mu_tables, ordered_block, phi1_direct,
+                     phi1_from_blocks, phi_direct, symmetric_block_norm)
 from xorcert import (
     ButterflyTable,
     PartitionedInstance,
@@ -25,12 +25,12 @@ from xorcert import (
     degree_profile,
     dup_correction,
     gen_random_partitioned,
+    min_eig_check,
     phi2_term,
     spectral_norm,
     weight_classes,
 )
-from xorcert.linalg import _DENSE_CAP, SparseMat
-from xorcert.spectral import _accumulate_blocks
+from xorcert.linalg import SparseMat, _grid, weighted_norm
 
 
 def _signs(rng, n):
@@ -103,19 +103,22 @@ def _all_s0(n):
 
 
 def test_block_entries_hand_example():
-    # edges {0,1} (+1) and {0,2} (-1) in one part of size 2:
-    # entry at row pair (0,0), column pair (1,2) equals -1/sqrt(2)
+    # edges {0,1} (+1) and {0,2} (-1) in one part of size 2: the ordered pair
+    # matrix holds -1/sqrt(2) at row pair (0,0) and column pairs (1,2), (2,1),
+    # which fold onto one entry -2/sqrt(2) at rows {0,0} x {1,2}
     inst = PartitionedInstance(n=3, ell=1, constraints=((0, 0, 1, 1), (0, 0, 2, -1)))
     partition = _all_s0(3)
     block = build_blocks(inst, partition)[(0, 0)]
     n = 3
-    dense = block_dense(block)
     row = int(np.flatnonzero(block.row_pairs == 0 * n + 0)[0])
     col = int(np.flatnonzero(block.col_pairs == 1 * n + 2)[0])
-    assert dense[row, col] == pytest.approx(-1.0 / math.sqrt(2.0))
-    # two edge orders x four orientations = 8 entries, all -1/sqrt(2)
-    assert block.nnz == 8
-    np.testing.assert_allclose(dense[dense != 0.0], -1.0 / math.sqrt(2.0))
+    assert block.mat[row, col] == pytest.approx(-2.0 / math.sqrt(2.0))
+    # the 8 ordered entries (two edge orders x four orientations) fold onto 4
+    ordered = ordered_block(inst, partition, 0, 0)
+    assert np.count_nonzero(ordered) == 8 and block.nnz == 4
+    np.testing.assert_allclose(block.mat[block.mat != 0.0], -2.0 / math.sqrt(2.0))
+    np.testing.assert_array_equal(block.row_pairs, [0, 1, 2, 5])  # {0,0} {0,1} {0,2} {1,2}
+    np.testing.assert_array_equal(block.row_w, [1.0, 2.0, 2.0, 2.0])
 
 
 def test_single_constraint_has_no_blocks():
@@ -166,37 +169,6 @@ _ONE_EDGE_PART = PartitionedInstance(n=5, ell=3, constraints=(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_small_partitioned(), st.sampled_from([None, 1e-4, 1e-5, 1e-6]),
-       st.integers(0, 2 ** 32 - 1))
-@example(_CANCELLING, None, 0)
-@example(_ONE_EDGE_PART, None, 1)
-@example(gen_random_partitioned(6, 1, 20, seed=2), 1e-5, 2)  # ell = 1: blocks (0,1), (1,0), (1,1)
-@example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5, 3)  # four blocks, 36 x 26 off-diagonal
-def test_block_apply_matches_explicit_block(inst, alpha_c, seed):
-    # alpha_c None: one clamped (0, 0) block; else unclamped heavy classes,
-    # whose off-diagonal blocks have different row and column supports
-    profile = degree_profile(inst)
-    if alpha_c is None:
-        partition = _all_s0(inst.n)
-    else:
-        partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
-                                   m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
-    gen = np.random.default_rng(seed)
-    for block in build_blocks(inst, partition, profile).values():
-        dense = block_dense(block)
-        absmat = np.abs(dense)
-        x = gen.uniform(-1.0, 1.0, len(block.col_pairs))
-        y = gen.uniform(-1.0, 1.0, len(block.row_pairs))
-        # each row within 1e-12 of its abs-sum; entries that cancel across
-        # parts leave rounding the abs-sum does not see, covered by the floor
-        floor = 1e-14 * max(absmat.sum(axis=1).max(), absmat.sum(axis=0).max())
-        assert np.all(np.abs(block.matvec(x) - dense @ x)
-                      <= 1e-12 * absmat.sum(axis=1) + floor)
-        assert np.all(np.abs(block.rmatvec(y) - dense.T @ y)
-                      <= 1e-12 * absmat.sum(axis=0) + floor)
-
-
-@settings(max_examples=200, deadline=None)
 @given(_small_partitioned())
 @example(_CANCELLING)
 @example(_ONE_EDGE_PART)
@@ -212,53 +184,45 @@ def test_tables_match_loop_references(inst):
     assert all(gamma[pair] == g for pair, g in reference.items())
 
 
-def _on_all_pairs(blocks, n):
-    """Each block's entries placed at their (row pair, column pair) in an n^2 x n^2 array."""
-    out = {}
-    for key, block in blocks.items():
-        full = np.zeros((n * n, n * n))
-        full[np.ix_(block.row_pairs, block.col_pairs)] = block_dense(block)
-        out[key] = full
-    return out
+def _weighted_check(block, u: float) -> bool:
+    """Whether min_eig_check proves ||W_j^-1/2 C W_k^-1/2|| <= u for a folded block."""
+    if block.j == block.k:
+        w = u * block.row_w
+        return min_eig_check(-block.mat, w) and min_eig_check(block.mat, w)
+    rows = block.rows
+    dilation = np.zeros((rows + len(block.col_pairs),) * 2)
+    dilation[:rows, rows:] = -block.mat
+    dilation[rows:, :rows] = -block.mat.T
+    return min_eig_check(dilation, u * np.concatenate([block.row_w, block.col_w]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_small_partitioned(), st.sampled_from([None, 1e-4, 1e-5, 1e-6]))
-@example(_CANCELLING, None)
+@settings(max_examples=100, deadline=None)
+@given(_small_partitioned(), st.sampled_from([1e-4, 1e-5, 1e-6]))
 @example(_CANCELLING, 1e-5)
-@example(_ONE_EDGE_PART, None)
-@example(_ONE_EDGE_PART, 1e-5)
-@example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5)
-def test_dense_and_coo_builders_agree(inst, alpha_c):
-    # the dense build, which every side with n^2 <= _DENSE_CAP takes, and the
-    # sparse merge of larger sides give the same blocks on the same supports:
-    # a row or column whose entries all cancel is in neither
+@example(gen_random_partitioned(6, 1, 20, seed=2), 1e-5)  # blocks (0,1), (1,0), (1,1)
+@example(gen_random_partitioned(8, 2, 30, seed=1), 1e-5)  # four blocks, 36 x 26 off-diagonal
+@example(gen_random_partitioned(5, 2, 30, seed=1), 1e-4)  # the ordered norm is larger
+def test_folded_upper_bounds_the_explicit_block(inst, alpha_c):
+    # unclamped classes: off-diagonal blocks have different row and column
+    # supports.  Each certified upper lies between the explicit ordered
+    # block's norm on swap-symmetric vectors, which is what Phi_1 needs, and
+    # a grid step above it; the block's norm on all ordered pairs can be
+    # larger, as the antisymmetric part carries the e = f exclusion with the
+    # opposite sign.  u one grid step lower fails the weighted check.
     profile = degree_profile(inst)
-    if alpha_c is None:
-        partition = _all_s0(inst.n)
-    else:
-        partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
-                                   m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
-    mu = inst.mu_rows()
-    dense_blocks = _accumulate_blocks(profile, mu, partition)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(xorcert.spectral, "_DENSE_CAP", 0)
-        coo_blocks = _accumulate_blocks(profile, mu, partition)
-    assert sorted(dense_blocks) == sorted(coo_blocks)
-    assert all(isinstance(b.mat, np.ndarray) for b in dense_blocks.values())
-    assert all(isinstance(b.mat, SparseMat) for b in coo_blocks.values())
-    for key in dense_blocks:
-        np.testing.assert_array_equal(dense_blocks[key].row_pairs, coo_blocks[key].row_pairs)
-        np.testing.assert_array_equal(dense_blocks[key].col_pairs, coo_blocks[key].col_pairs)
-    dense_full = _on_all_pairs(dense_blocks, inst.n)
-    coo_full = _on_all_pairs(coo_blocks, inst.n)
-    for key in dense_blocks:
-        d, c = dense_full[key], coo_full[key]
-        np.testing.assert_array_equal(d != 0.0, c != 0.0)
-        assert dense_blocks[key].nnz == coo_blocks[key].nnz
-        absmat = np.abs(c)
-        floor = 1e-14 * max(absmat.sum(axis=1).max(), absmat.sum(axis=0).max())
-        assert np.all(np.abs(d - c) <= 1e-12 * absmat.sum(axis=1)[:, None] + floor)
+    partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
+                               m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
+    for (j, k), block in build_blocks(inst, partition, profile).items():
+        nb = weighted_norm(block.mat, block.row_w, block.col_w)
+        sym = symmetric_block_norm(inst, partition, j, k)
+        assert nb.lower <= sym * (1.0 + 1e-9)
+        assert sym <= nb.upper <= sym * (1.0 + 1e-6)
+        ordered = float(np.linalg.svd(ordered_block(inst, partition, j, k),
+                                      compute_uv=False)[0])
+        assert nb.upper <= ordered * (1.0 + 1e-6)
+        if nb.method == "dense-cholesky":
+            assert _weighted_check(block, nb.upper)
+            assert not _weighted_check(block, nb.upper - _grid(nb.upper))
 
 
 def test_dup_correction_signs():
@@ -370,12 +334,13 @@ def test_small_side_never_builds_coo_blocks(monkeypatch, inst, alpha_c, count):
 
 @pytest.mark.parametrize("n", [32, 33])
 def test_dense_build_up_to_the_cap(monkeypatch, n):
-    # n^2 = 1024 pairs is the last side built dense
+    # with the cap at 32 * 33 / 2 = 528, n = 32 is the last side built
+    monkeypatch.setattr(xorcert.spectral, "_DENSE_CAP", 528)
     inst = gen_random_partitioned(n, 3, 200, seed=1)
-    if n * n > _DENSE_CAP:
-        monkeypatch.setattr(SparseMat, "from_arrays", classmethod(_no_coo))
-        with pytest.raises(AssertionError, match="COO block build"):
+    if n * (n + 1) // 2 > 528:
+        assert not xorcert.spectral.side_fits(n)
+        with pytest.raises(ValueError, match="dense cap"):
             build_blocks(inst, _all_s0(n))
     else:
         (block,) = build_blocks(inst, _all_s0(n)).values()
-        assert isinstance(block.mat, np.ndarray)
+        assert isinstance(block.mat, np.ndarray) and block.rows <= 528
