@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import xorcert.linalg
 import xorcert.pipeline
 import xorcert.sdp
 import xorcert.spectral
