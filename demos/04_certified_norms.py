@@ -12,12 +12,13 @@ m = rng.standard_normal((40, 25))
 m[rng.random((40, 25)) > 0.15] = 0.0
 print("matrix:", m.shape[0], "x", m.shape[1], "with", np.count_nonzero(m), "entries")
 
-# spectral_norm returns a sandwich [lower, upper] around sigma_max.  The lower
-# bound is a Rayleigh quotient at an explicit vector.  This matrix's dilation
-# [[0, M], [M^T, 0]] has 65 rows, under the dense cap of 5050, so the upper
-# bound u comes from one dense SVD, padded and rounded up, and stands only
-# because min_eig_check (below) proves uI - [[0, M], [M^T, 0]] PSD.  Above
-# the cap there is no such check, and the upper is the l1 bound below.
+# spectral_norm returns a sandwich [lower, upper] around sigma_max.  This
+# matrix's dilation [[0, M], [M^T, 0]] has 65 rows, under the dense cap of
+# 5050, so one dense SVD gives s1, computing no singular vector.  The lower
+# bound is s1 rounded down.  The upper bound u is s1 padded and rounded up,
+# and it stands only because min_eig_check (below) proves
+# uI - [[0, M], [M^T, 0]] PSD.  Above the cap there is no such check, and
+# the upper is the l1 bound below.
 nb = spectral_norm(m)
 assert nb.method == "dense-cholesky"
 sigma = float(np.linalg.svd(m, compute_uv=False)[0])
@@ -25,6 +26,15 @@ print(f"certified: [{nb.lower:.6f}, {nb.upper:.6f}]  ({nb.method})")
 print(f"LAPACK svd: {sigma:.6f}")
 assert nb.lower <= sigma <= nb.upper
 assert nb.upper - nb.lower <= 1e-5 * max(1.0, sigma)
+
+# The light side calls the same function with weights W >= 1 per row and
+# column, the pair counts of its folded blocks, and gets a bound on the norm
+# of W_r^-1/2 M W_c^-1/2.
+row_w, col_w = np.where(np.arange(40) % 3, 2.0, 1.0), np.ones(25)
+weighted = spectral_norm(m, row_w, col_w)
+scaled = float(np.linalg.svd(m / np.sqrt(row_w)[:, None], compute_uv=False)[0])
+print(f"weighted: [{weighted.lower:.6f}, {weighted.upper:.6f}]  (svd {scaled:.6f})")
+assert weighted.lower <= scaled <= weighted.upper
 
 # The l1 bound max(max row sum, max col sum) needs no solve at all and is
 # what the upper bound falls back to when the Cholesky check fails.

@@ -10,7 +10,7 @@ from .instances import (Assignment, DegreeProfile, KXorInstance,
                         instance_digest, load_instance, save_instance,
                         to_json_dict)
 from .linalg import (NormBound, bernstein_tail, bernstein_threshold, l1_norm_bound,
-                     min_eig_check, spectral_norm)
+                     min_eig_check, spectral_norm, z_matrix)
 from .oracle import brute_force_inf1, brute_force_val
 from .pipeline import (REFUTED, SCHEMA, UNKNOWN, Certificate, refute_kxor,
                        refute_partitioned, verify_certificate,
@@ -18,7 +18,7 @@ from .pipeline import (REFUTED, SCHEMA, UNKNOWN, Certificate, refute_kxor,
 from .reduce import (BipartiteInstance, Decomposition, ReducedKXor,
                      SubsetDictionary, bipartite_matrix, decompose,
                      kxor_to_partitioned)
-from .sdp import KG_UPPER, DualCert, inf1_upper, z_matrix
+from .sdp import KG_UPPER, DualCert, inf1_upper
 from .spectral import (Block, BlockRecord, ButterflyTable, DBoundedReport,
                        WeightClassPartition, block_r_bound, block_variance_bound,
                        butterfly, certify_dbounded, dup_correction, phi2_term,

@@ -2,14 +2,16 @@
 
 PSD-ness is decided by one floating-point Cholesky with an a-priori rounding
 shift (``min_eig_check``), and the same check certifies every spectral norm
-upper.  A matrix whose factored form has at most ``_DENSE_CAP`` rows is a
-dense array; one dense eigen or singular value solve proposes u, and u
-stands only if the check passes on u W -+ M (W the identity for a plain
-norm, the pair counts of the light side's folded blocks), so that upper is
-sound with rounding accounted for.  The row and column l1 bound (Gershgorin
-applied to the symmetric dilation) is sound at every size, and it is the
-whole upper above the cap.  ``SparseMat`` is an input format: a COO matrix
-that ``spectral_norm`` turns dense when it fits.
+upper.  ``spectral_norm`` is the one norm function, for plain norms and for
+the light side's blocks, which are weighted by their pair counts W.  A
+matrix whose factored form (M, or the dilation ``z_matrix`` builds, as it
+builds the heavy side's Z(d)) has at most ``_DENSE_CAP`` rows is a dense
+array; one dense eigen or singular value solve proposes u, and u stands
+only if the check passes on it, so that upper is sound with rounding
+accounted for.  The row and column l1 bound (Gershgorin applied to the
+symmetric dilation) is sound at every size, and it is the whole upper above
+the cap.  ``SparseMat`` is an input format: a COO matrix that
+``spectral_norm`` turns dense when it fits.
 """
 from __future__ import annotations
 
@@ -125,33 +127,50 @@ def l1_norm_bound(m: SparseMat | np.ndarray) -> float:
     return float(max(m.row_l1().max(), m.col_l1().max()))
 
 
-def weighted_norm(c: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> NormBound:
-    """Two-sided bound on ||W_r^-1/2 C W_c^-1/2|| for diagonal weights W >= 1.
+def spectral_norm(m: SparseMat | np.ndarray, row_w=None, col_w=None) -> NormBound:
+    """Two-sided bound on ||W_r^-1/2 M W_c^-1/2|| for diagonal weights W >= 1.
 
-    The light side bounds its folded blocks with this: C sums the pair
-    matrix over swap-symmetric rows, and W counts the ordered pairs behind
-    each row.  One dense solve proposes s1: the top |eigenvalue| of the
-    scaled C when C = C^T and W_r = W_c, else its top singular value, both
-    taken without vectors.  u = s1 + 4c, with c the check's shift for a
-    diagonal of 2 s1 W (it grows as n^2 u s1, past the solve's O(n u s1)
-    backward error), rounded up onto a grid 2^-24 below s1 so that its
-    bytes do not follow the last digits of the solve.  u stands
-    ("dense-cholesky") once the Cholesky check proves u W -+ C >= 0, with
+    m is a ``SparseMat`` or a dense array; the weights default to 1, the
+    plain norm.  The light side passes its folded blocks, with W the number
+    of ordered pairs behind each row and column.  Weights of the wrong
+    length, not finite or below 1 raise ValueError.  If M is exactly
+    symmetric with W_r = W_c and at most ``_DENSE_CAP`` rows, or its
+    dilation has at most that many, one dense solve of the scaled M
+    proposes s1: its top |eigenvalue| when symmetric, else its top singular
+    value, taken without vectors.  u = s1 + 4c, with c the check's shift
+    for a diagonal of 2 s1 W (it grows as n^2 u s1, past the solve's
+    O(n u s1) backward error), rounded up onto a grid 2^-24 below s1 so
+    that its bytes do not follow the last digits of the solve.  u stands
+    ("dense-cholesky") once the Cholesky check proves u W -+ M >= 0, with
     u W passed as a per-row slack, so the square roots of the scaling never
-    reach it.  For any other C, the dilation D = [[0, C], [C^T, 0]] with
-    W = Diag(W_r, W_c) needs one check: u W - D >= 0 at (y, -z) gives
-    y^T C z <= u sqrt(y^T W_r y z^T W_c z) after scaling y and z, and
-    (y, z) gives the other sign.  When the check fails, or the l1 bound of
-    C is smaller, the upper is that l1 bound ("schur-l1"): it holds for the
-    scaled matrix too, as W >= 1 only shrinks entries.  The lower bound is
-    s1, rounded down onto a grid 2^-24 below it and less a rounding guard;
-    the grid step dwarfs the solve's error, but no bound rests on it.
+    reach it.  For any other M, one check proves u W + Z >= 0 for the
+    dilation Z = z_matrix(M, 0) and W = Diag(W_r, W_c): at (y, z) it gives
+    y^T M z <= u sqrt(y^T W_r y z^T W_c z) after scaling y and z, and
+    (y, -z) gives the other sign.  The lower bound is s1, rounded down onto
+    a grid 2^-24 below it and less a rounding guard; the grid step dwarfs
+    the solve's error, but no bound rests on it.  When the check fails, the
+    l1 bound of M is smaller, or M is too large to go dense, the upper is
+    that l1 bound ("schur-l1"), which holds for the scaled M as W >= 1 only
+    shrinks entries; above the cap the largest scaled |entry| is the lower.
     """
-    if not c.any():
+    sparse = isinstance(m, SparseMat)
+    rows, cols = (m.rows, m.cols) if sparse else np.shape(m)
+    row_w, col_w = _weights(row_w, rows), _weights(col_w, cols)
+    same_w = np.array_equal(row_w, col_w)
+    if not sparse or _fits_dense(rows, cols, same_w):
+        # a square SparseMat may be symmetric; its array decides
+        m = m.to_dense() if sparse else np.asarray(m, dtype=np.float64)
+    l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
+    if l1 == 0.0:
         return NormBound(0.0, 0.0, "exact-small")
-    symmetric = np.array_equal(row_w, col_w) and np.array_equal(c, c.T)
-    scaled = c / np.sqrt(row_w)[:, None]
+    if isinstance(m, SparseMat):
+        top = np.abs(m.v) / np.sqrt(row_w[m.r]) / np.sqrt(col_w[m.c])
+        return _sandwich(float(top.max()), None, l1, "schur-l1")
+    symmetric = same_w and np.array_equal(m, m.T)
+    scaled = m / np.sqrt(row_w)[:, None]
     scaled /= np.sqrt(col_w)
+    if not _fits_dense(rows, cols, symmetric):
+        return _sandwich(float(np.abs(scaled).max()), None, l1, "schur-l1")
     if symmetric:
         s1 = float(np.abs(np.linalg.eigvalsh(scaled)).max())
         w = row_w
@@ -163,40 +182,34 @@ def weighted_norm(c: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> NormBo
     u = math.ceil((s1 + 4.0 * psd_shift(2.0 * s1 * w)) / q) * q
     if symmetric:
         # one check at a time, so that a large block has one copy alive
-        passed = _shifted_cholesky(np.negative(c), u * w) and _shifted_cholesky(c.copy(), u * w)
+        passed = _shifted_cholesky(np.negative(m), u * w) and _shifted_cholesky(m.copy(), u * w)
     else:
-        rows = c.shape[0]
-        dilation = np.zeros((len(w), len(w)))
-        dilation[:rows, rows:] = -c
-        dilation[rows:, :rows] = -c.T
-        passed = _shifted_cholesky(dilation, u * w)
-    return _sandwich(s1, u if passed else None, l1_norm_bound(c) * (1.0 + _ROUND_GUARD),
-                     "dense-cholesky")
+        passed = _shifted_cholesky(z_matrix(m, np.zeros(len(w))), u * w)
+    return _sandwich(s1, u if passed else None, l1, "dense-cholesky")
 
 
-def spectral_norm(m: SparseMat | np.ndarray) -> NormBound:
-    """Two-sided spectral norm bound, upper = min(l1 bound, u).
+def z_matrix(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Assemble Z(d) = [[Diag(dL), -M], [-M^T, Diag(dR)]] as a dense array."""
+    a = m.shape[0]
+    z = np.diag(np.asarray(d, dtype=np.float64))
+    z[:a, a:] = -m
+    z[a:, :a] = -m.T
+    return z
 
-    m is a ``SparseMat`` or a dense array.  If M is exactly symmetric with
-    at most ``_DENSE_CAP`` rows, or its dilation has at most that many, M
-    goes dense (a ``SparseMat`` is turned into an array) and gets
-    ``weighted_norm`` with unit weights: a sound u, or the l1 bound when its
-    check fails.  A larger M gets the l1 bound ("schur-l1"), with its
-    largest |entry| as the lower bound.
-    """
-    if isinstance(m, SparseMat) and _fits_dense(m.rows, m.cols, m.rows == m.cols):
-        m = m.to_dense()  # a square one may be symmetric; its array decides
-    if isinstance(m, np.ndarray):
-        if _fits_dense(*m.shape, np.array_equal(m, m.T)):
-            return weighted_norm(m, np.ones(m.shape[0]), np.ones(m.shape[1]))
-        m = SparseMat.from_dense(m)
-    if m.nnz == 0:
-        return NormBound(0.0, 0.0, "exact-small")
-    return _sandwich(m.abs_max(), None, l1_norm_bound(m) * (1.0 + _ROUND_GUARD), "schur-l1")
+
+def _weights(w, size: int) -> np.ndarray:
+    """w as a float array, all ones when None; ValueError unless it has size entries, each >= 1."""
+    if w is None:
+        return np.ones(size)
+    w = np.asarray(w, dtype=np.float64)
+    # the l1 fallback bounds the scaled matrix only because W >= 1
+    if w.shape != (size,) or not np.all(np.isfinite(w) & (w >= 1.0)):
+        raise ValueError(f"weights must be {size} finite numbers >= 1")
+    return w
 
 
 def _fits_dense(rows: int, cols: int, symmetric: bool) -> bool:
-    """Whether the matrix that ``weighted_norm`` factors has at most ``_DENSE_CAP`` rows."""
+    """Whether the matrix that ``spectral_norm`` factors has at most ``_DENSE_CAP`` rows."""
     return rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP)
 
 

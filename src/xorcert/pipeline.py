@@ -37,9 +37,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import KXorInstance, PartitionedInstance, instance_digest
 from . import sdp
-from .linalg import min_eig_check
+from .linalg import min_eig_check, z_matrix
 from .reduce import bipartite_matrix, decompose, kxor_to_partitioned
-from .sdp import DualCert, two_xor_value, z_matrix
+from .sdp import DualCert, two_xor_value
 from .spectral import certify_dbounded, side_fits
 
 SCHEMA = "cert_v1"

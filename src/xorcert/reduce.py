@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .instances import (KXorInstance, PartitionedInstance, ValueEq, int_rows, reject_rows,
                         rows_digest)
 
@@ -128,7 +129,8 @@ class Decomposition(ValueEq):
         return self.heavy.m
 
 
-def decompose(inst: PartitionedInstance, eps: float, c_split: float = 4.0) -> Decomposition:
+def decompose(inst: PartitionedInstance, eps: float,
+              c_split: float = DEFAULT_CONFIG.c_split) -> Decomposition:
     """Move every group S(i, v) of size >= ceil(c_split/eps^2) heavy.
 
     One pass visits the (part, vertex) keys whose initial count reaches

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import min_eig_check, psd_shift
+from .linalg import _grid, min_eig_check, psd_shift, z_matrix
 
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -74,15 +74,6 @@ class DualCert:
         if not all(math.isfinite(x) for x in (*cert.d_left, *cert.d_right, cert.slack)):
             raise ValueError("dual certificate has a non-finite entry")
         return cert
-
-
-def z_matrix(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Assemble Z(d) = [[Diag(dL), -M], [-M^T, Diag(dR)]] as a dense array."""
-    a = m.shape[0]
-    z = np.diag(np.asarray(d, dtype=np.float64))
-    z[:a, a:] = -m
-    z[a:, :a] = -m.T
-    return z
 
 
 def _rownorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -138,7 +129,7 @@ def _rounded(m: np.ndarray, d: np.ndarray) -> DualCert:
     """
     a = m.shape[0]
     d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
-    q = 2.0 ** (math.frexp(float(d.max()))[1] - 24)
+    q = _grid(float(d.max()))
     d = np.ceil(d / q) * q
     return DualCert(d_left=tuple(float(x) for x in d[:a]),
                     d_right=tuple(float(x) for x in d[a:]),

@@ -15,9 +15,9 @@ diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
 x@x is swap-symmetric, so every block is built folded onto unordered pairs
 (``_accumulate_blocks``), as a dense array of at most n(n+1)/2 rows, and
-bounded by ``weighted_norm``: one eigen or singular value solve proposes
-the norm, and the Cholesky check on u W -+ C certifies it, with W the
-number of ordered pairs behind each row.  A side with more than
+bounded by ``linalg.spectral_norm``: one eigen or singular value solve
+proposes the norm, and the Cholesky check on u W -+ C certifies it, with W
+the number of ordered pairs behind each row.  A side with more than
 ``_DENSE_CAP`` unordered pairs is not built; the pipeline bounds it by its
 size.
 
@@ -30,13 +30,13 @@ array of class indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import DegreeProfile, PartitionedInstance, ValueEq, degree_profile
-from .linalg import _DENSE_CAP, bernstein_threshold, weighted_norm
+from .linalg import _DENSE_CAP, bernstein_threshold, spectral_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,7 @@ class WeightClassPartition(ValueEq):
 
 
 def weight_classes(table: ButterflyTable, *, d: int, eps: float, m: int, ell: int,
-                   alpha_c: float = 1.0) -> WeightClassPartition:
+                   alpha_c: float = DEFAULT_CONFIG.alpha_c) -> WeightClassPartition:
     """Geometric weight classes with alpha = C d^2 ell log2(n)^6 / (eps^4 m)."""
     n = table.n
     if n < 2:
@@ -268,12 +268,7 @@ class BlockRecord:
     bernstein_t: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j, "k": self.k, "size_j": self.size_j, "size_k": self.size_k,
-            "nnz": self.nnz, "norm_lower": self.norm_lower, "norm_upper": self.norm_upper,
-            "contribution": self.contribution, "sigma2": self.sigma2,
-            "r_bound": self.r_bound, "bernstein_t": self.bernstein_t,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -301,16 +296,8 @@ class DBoundedReport:
     blocks: tuple[BlockRecord, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status, "m": self.m, "n": self.n, "ell_eff": self.ell_eff,
-            "eps": self.eps, "d_used": self.d_used, "alpha": self.alpha, "beta": self.beta,
-            "beta_clamped": self.beta_clamped, "levels": self.levels,
-            "class_sizes": list(self.class_sizes), "phi2_term": self.phi2_term,
-            "dup_correction": self.dup_correction, "phi1_bound": self.phi1_bound,
-            "phi_total_bound": self.phi_total_bound, "threshold": self.threshold,
-            "implied_eps": self.implied_eps, "val_upper": self.val_upper,
-            "blocks": [b.to_json_dict() for b in self.blocks],
-        }
+        data = asdict(self)  # JSON has lists, not tuples
+        return {**data, "class_sizes": list(data["class_sizes"]), "blocks": list(data["blocks"])}
 
 
 def block_contribution(size_j: int, size_k: int, norm_upper: float) -> float:
@@ -323,8 +310,9 @@ def assemble_phi_bound(contributions, c0: float, phi2: float, eps: float,
     """Pure arithmetic from block contributions to the light-side value bound.
 
     Returns the report fields phi1_bound, phi_total_bound, threshold,
-    implied_eps, val_upper and status.  Prover and verifier both call this
-    on the same recorded numbers, so the verifier compares its output
+    implied_eps, val_upper and status.  The verifier recomputes the
+    contributions from the instance, calls this through the same payload
+    builder as the prover, and compares its output with the recorded fields
     exactly; fsum and m * sqrt(m) are correctly rounded, so the result does
     not depend on the Python version or the platform's pow.
     """
@@ -377,7 +365,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
         j, k = key
         size_j = partition.sizes[j]
         size_k = partition.sizes[k]
-        nb = weighted_norm(block.mat, block.row_w, block.col_w)
+        nb = spectral_norm(block.mat, block.row_w, block.col_w)
         contribution = block_contribution(size_j, size_k, nb.upper)
         sigma2 = block_variance_bound(partition, j, k)
         r_bound = block_r_bound(partition, j, k, d_used)

@@ -91,6 +91,16 @@ def test_spectral_norm_zero_and_empty():
     assert spectral_norm(empty).upper == 0.0
 
 
+def test_spectral_norm_of_an_integer_array():
+    # the Cholesky check writes its shifted diagonal into a float copy; an
+    # integer copy would truncate it and fail, leaving only the l1 bound 3
+    a = [[1, 2], [2, -1]]
+    for m in (np.array(a), a):
+        nb = spectral_norm(m)
+        assert nb.method == "dense-cholesky"
+        assert nb.lower <= math.sqrt(5.0) <= nb.upper < 2.237
+
+
 def _near_degenerate_top(seed: int) -> np.ndarray:
     """40x40 (Q1 diag(s)) Q2^T with s_1 = 1 and s_2 = 1 - gap, gap in [1e-6, 1e-4]."""
     gen = np.random.default_rng(seed)
@@ -136,6 +146,56 @@ def test_spectral_norm_falls_back_to_l1_when_the_check_fails(monkeypatch):
         assert nb.method == "schur-l1"
         assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
         assert nb.lower <= sigma
+
+
+def _weighted_case(rng, rows, cols):
+    """A random matrix with pair-count weights in {1, 2}, and the norm of its scaled form."""
+    a = _random_sparse(rng, rows, cols)
+    row_w = rng.integers(1, 3, rows).astype(float)
+    col_w = row_w if rows == cols else rng.integers(1, 3, cols).astype(float)
+    if rows == cols:
+        a = a + a.T
+    scaled = a / np.sqrt(np.multiply.outer(row_w, col_w))
+    return a, row_w, col_w, float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8)], ids=["symmetric", "rectangular"])
+def test_weighted_norm_sandwiches_the_scaled_norm(rng, shape):
+    # a SparseMat goes dense below the cap, so it gets its array's bound
+    for _ in range(10):
+        a, row_w, col_w, sigma = _weighted_case(rng, *shape)
+        nb = spectral_norm(a, row_w, col_w)
+        assert nb.lower <= sigma <= nb.upper <= sigma * (1 + 1e-6) + 1e-12
+        assert spectral_norm(SparseMat.from_dense(a), row_w, col_w) == nb
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8)], ids=["symmetric", "rectangular"])
+def test_weighted_norm_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
+    # the l1 bound of the unscaled matrix holds since W >= 1; the lower
+    # bound is the largest scaled |entry|, which is below the scaled norm
+    monkeypatch.setattr(xorcert.linalg, "_DENSE_CAP", 4)
+    for _ in range(10):
+        a, row_w, col_w, sigma = _weighted_case(rng, *shape)
+        for m in (a, SparseMat.from_dense(a)):
+            nb = spectral_norm(m, row_w, col_w)
+            assert nb.method == "schur-l1"
+            assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
+            assert nb.lower <= sigma
+
+
+@pytest.mark.parametrize("row_w, col_w", [
+    ([1.0, 1.0], [1.0, 1.0]),  # a row weight short
+    (np.ones(2), np.ones(3)),  # the weights swapped
+    ([1.0, 0.5, 2.0], [1.0, 1.0]),  # below 1
+    ([1.0, math.nan, 1.0], None),
+    (None, [math.inf, 1.0]),
+    (np.ones((3, 1)), None),
+], ids=["short", "swapped", "below-one", "nan", "inf", "column-shaped"])
+def test_weighted_norm_rejects_bad_weights(row_w, col_w):
+    a = np.arange(6.0).reshape(3, 2)
+    for m in (a, SparseMat.from_dense(a)):
+        with pytest.raises(ValueError, match="weights"):
+            spectral_norm(m, row_w, col_w)
 
 
 def test_min_eig_check():

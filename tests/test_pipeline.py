@@ -427,7 +427,7 @@ def test_heavy_side_runs_no_power_iteration(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a light-side norm ran")
 
-    monkeypatch.setattr(xorcert.spectral, "weighted_norm", solve)
+    monkeypatch.setattr(xorcert.spectral, "spectral_norm", solve)
     cert = refute_kxor(inst, eps=0.4)
     assert cert.payload["light"]["mode"] == "trivial"
     assert cert.payload["heavy"]["mode"] == "sdp"
@@ -437,14 +437,14 @@ def test_heavy_side_runs_no_power_iteration(monkeypatch):
 def _norm_methods(monkeypatch) -> list[str]:
     """The method of every light-block norm from now on, in call order."""
     methods = []
-    weighted_norm = xorcert.spectral.weighted_norm
+    spectral_norm = xorcert.spectral.spectral_norm
 
     def record(*args):
-        nb = weighted_norm(*args)
+        nb = spectral_norm(*args)
         methods.append(nb.method)
         return nb
 
-    monkeypatch.setattr(xorcert.spectral, "weighted_norm", record)
+    monkeypatch.setattr(xorcert.spectral, "spectral_norm", record)
     return methods
 
 

@@ -30,7 +30,7 @@ from xorcert import (
     spectral_norm,
     weight_classes,
 )
-from xorcert.linalg import SparseMat, _grid, weighted_norm
+from xorcert.linalg import SparseMat, _grid
 
 
 def _signs(rng, n):
@@ -213,7 +213,7 @@ def test_folded_upper_bounds_the_explicit_block(inst, alpha_c):
     partition = weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
                                m=inst.m, ell=len(profile.t), alpha_c=alpha_c)
     for (j, k), block in build_blocks(inst, partition, profile).items():
-        nb = weighted_norm(block.mat, block.row_w, block.col_w)
+        nb = spectral_norm(block.mat, block.row_w, block.col_w)
         sym = symmetric_block_norm(inst, partition, j, k)
         assert nb.lower <= sym * (1.0 + 1e-9)
         assert sym <= nb.upper <= sym * (1.0 + 1e-6)
@@ -318,8 +318,8 @@ def test_certify_dbounded_validation():
         certify_dbounded(PartitionedInstance(n=3, ell=1, constraints=()), eps=0.3)
 
 
-def _no_coo(*args, **kwargs):
-    raise AssertionError("COO block build")
+def _no_sparse(*args, **kwargs):
+    raise AssertionError("a SparseMat was built")
 
 
 @pytest.mark.parametrize("inst, alpha_c, count", [
@@ -327,7 +327,9 @@ def _no_coo(*args, **kwargs):
     (gen_random_partitioned(8, 2, 30, seed=1), 1e-5, 4),
 ])
 def test_small_side_never_builds_coo_blocks(monkeypatch, inst, alpha_c, count):
-    monkeypatch.setattr(SparseMat, "from_arrays", classmethod(_no_coo))
+    monkeypatch.setattr(SparseMat, "__init__", _no_sparse)
+    with pytest.raises(AssertionError, match="SparseMat"):
+        SparseMat.from_dense(np.eye(2))  # the patch catches every construction
     rep = certify_dbounded(inst, eps=0.3, config=RefuteConfig(alpha_c=alpha_c))
     assert len(rep.blocks) == count
 
