@@ -12,13 +12,14 @@ m = rng.standard_normal((40, 25))
 m[rng.random((40, 25)) > 0.15] = 0.0
 print("matrix:", m.shape[0], "x", m.shape[1], "with", np.count_nonzero(m), "entries")
 
-# spectral_norm returns a sandwich [lower, upper] around sigma_max.  This
-# matrix's dilation [[0, M], [M^T, 0]] has 65 rows, under the dense cap of
-# 5050, so one dense SVD gives s1, computing no singular vector.  The lower
-# bound is s1 rounded down.  The upper bound u is s1 padded and rounded up,
-# and it stands only because min_eig_check (below) proves
-# uI - [[0, M], [M^T, 0]] PSD.  Above the cap there is no such check, and
-# the upper is the l1 bound below.
+# spectral_norm returns a sandwich [lower, upper] around sigma_max.  M is
+# not symmetric, so it is replaced by its dilation [[0, -M], [-M^T, 0]],
+# which is symmetric, has 65 rows, under the dense cap of 5050, and has
+# eigenvalues +-sigma_i; one dense eigvalsh of it gives s1, computing no
+# vector.  The lower bound is s1 rounded down.  The upper bound u is s1
+# padded and rounded up, and it stands only because the Cholesky check
+# behind min_eig_check (below) proves uI -+ [[0, -M], [-M^T, 0]] PSD.
+# Above the cap there is no such check, and the upper is the l1 bound below.
 nb = spectral_norm(m)
 assert nb.method == "dense-cholesky"
 sigma = float(np.linalg.svd(m, compute_uv=False)[0])

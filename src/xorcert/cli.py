@@ -338,11 +338,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except CliError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

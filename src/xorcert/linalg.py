@@ -3,15 +3,15 @@
 PSD-ness is decided by one floating-point Cholesky with an a-priori rounding
 shift (``min_eig_check``), and the same check certifies every spectral norm
 upper.  ``spectral_norm`` is the one norm function, for plain norms and for
-the light side's blocks, which are weighted by their pair counts W.  A
-matrix whose factored form (M, or the dilation ``z_matrix`` builds, as it
-builds the heavy side's Z(d)) has at most ``_DENSE_CAP`` rows is a dense
-array; one dense eigen or singular value solve proposes u, and u stands
-only if the check passes on it, so that upper is sound with rounding
-accounted for.  The row and column l1 bound (Gershgorin applied to the
-symmetric dilation) is sound at every size, and it is the whole upper above
-the cap.  ``SparseMat`` is an input format: a COO matrix that
-``spectral_norm`` turns dense when it fits.
+the light side's blocks, which are weighted by their pair counts W.  It has
+one route: a dense array that is not exactly symmetric is replaced by its
+dilation (``z_matrix`` builds it, as it builds the heavy side's Z(d)), and
+if the symmetric matrix so formed has at most ``_DENSE_CAP`` rows, one
+``eigvalsh`` proposes u, and u stands only if the check passes on it, so
+that upper is sound with rounding accounted for.  The row and column l1
+bound (Gershgorin applied to the symmetric dilation) is sound at every
+size, and it is the whole upper above the cap.  ``SparseMat`` is a COO
+matrix that no norm function takes.
 """
 from __future__ import annotations
 
@@ -116,75 +116,60 @@ class NormBound:
             raise ValueError(f"invalid norm bound [{self.lower}, {self.upper}]")
 
 
-def l1_norm_bound(m: SparseMat | np.ndarray) -> float:
+def l1_norm_bound(m: np.ndarray) -> float:
     """max(max row l1, max col l1): a Gershgorin bound on the spectral norm."""
-    if isinstance(m, np.ndarray):
-        absm = np.abs(m)
-        return float(max(absm.sum(axis=1).max(initial=0.0),
-                         absm.sum(axis=0).max(initial=0.0)))
-    if m.nnz == 0:
-        return 0.0
-    return float(max(m.row_l1().max(), m.col_l1().max()))
+    absm = np.abs(m)
+    return float(max(absm.sum(axis=1).max(initial=0.0), absm.sum(axis=0).max(initial=0.0)))
 
 
-def spectral_norm(m: SparseMat | np.ndarray, row_w=None, col_w=None) -> NormBound:
+def spectral_norm(m: np.ndarray, row_w=None, col_w=None) -> NormBound:
     """Two-sided bound on ||W_r^-1/2 M W_c^-1/2|| for diagonal weights W >= 1.
 
-    m is a ``SparseMat`` or a dense array; the weights default to 1, the
-    plain norm.  The light side passes its folded blocks, with W the number
-    of ordered pairs behind each row and column.  Weights of the wrong
-    length, not finite or below 1 raise ValueError.  If M is exactly
-    symmetric with W_r = W_c and at most ``_DENSE_CAP`` rows, or its
-    dilation has at most that many, one dense solve of the scaled M
-    proposes s1: its top |eigenvalue| when symmetric, else its top singular
-    value, taken without vectors.  u = s1 + 4c, with c the check's shift
-    for a diagonal of 2 s1 W (it grows as n^2 u s1, past the solve's
-    O(n u s1) backward error), rounded up onto a grid 2^-24 below s1 so
-    that its bytes do not follow the last digits of the solve.  u stands
+    m is a dense array; the weights default to 1, the plain norm.  The
+    light side passes its folded blocks, with W the number of ordered pairs
+    behind each row and column.  Weights of the wrong length, not finite or
+    below 1 raise ValueError.  Unless M is exactly symmetric with W_r = W_c,
+    it is replaced by its dilation Z = z_matrix(M, 0) with W = Diag(W_r, W_c):
+    Z is symmetric, and its scaled form has the same norm, as at (y, z)
+    y^T M z <= u sqrt(y^T W_r y z^T W_c z) after scaling y and z, and
+    (y, -z) gives the other sign.  If the matrix so factored has at most
+    ``_DENSE_CAP`` rows, the top |eigenvalue| s1 of its scaled form, taken
+    without vectors, proposes u = s1 + 4c, with c the check's shift for a
+    diagonal of 2 s1 W (it grows as n^2 u s1, past the solve's O(n u s1)
+    backward error), rounded up onto a grid 2^-24 below s1 so that its
+    bytes do not follow the last digits of the solve.  u stands
     ("dense-cholesky") once the Cholesky check proves u W -+ M >= 0, with
     u W passed as a per-row slack, so the square roots of the scaling never
-    reach it.  For any other M, one check proves u W + Z >= 0 for the
-    dilation Z = z_matrix(M, 0) and W = Diag(W_r, W_c): at (y, z) it gives
-    y^T M z <= u sqrt(y^T W_r y z^T W_c z) after scaling y and z, and
-    (y, -z) gives the other sign.  The lower bound is s1, rounded down onto
-    a grid 2^-24 below it and less a rounding guard; the grid step dwarfs
-    the solve's error, but no bound rests on it.  When the check fails, the
-    l1 bound of M is smaller, or M is too large to go dense, the upper is
-    that l1 bound ("schur-l1"), which holds for the scaled M as W >= 1 only
-    shrinks entries; above the cap the largest scaled |entry| is the lower.
+    reach it.  The lower bound is s1, rounded down onto a grid 2^-24 below
+    it and less a rounding guard; the grid step dwarfs the solve's error,
+    but no bound rests on it.  When the check fails, the l1 bound of M is
+    smaller, or M is too large to go dense, the upper is that l1 bound
+    ("schur-l1"), which holds for the scaled M as W >= 1 only shrinks
+    entries; above the cap the largest scaled |entry| is the lower.  The
+    caller's array is never written.
     """
-    sparse = isinstance(m, SparseMat)
-    rows, cols = (m.rows, m.cols) if sparse else np.shape(m)
+    m = np.asarray(m, dtype=np.float64)
+    rows, cols = m.shape
     row_w, col_w = _weights(row_w, rows), _weights(col_w, cols)
-    same_w = np.array_equal(row_w, col_w)
-    if not sparse or _fits_dense(rows, cols, same_w):
-        # a square SparseMat may be symmetric; its array decides
-        m = m.to_dense() if sparse else np.asarray(m, dtype=np.float64)
     l1 = l1_norm_bound(m) * (1.0 + _ROUND_GUARD)
     if l1 == 0.0:
         return NormBound(0.0, 0.0, "exact-small")
-    if isinstance(m, SparseMat):
-        top = np.abs(m.v) / np.sqrt(row_w[m.r]) / np.sqrt(col_w[m.c])
+    symmetric = np.array_equal(row_w, col_w) and np.array_equal(m, m.T)
+    if (rows if symmetric else rows + cols) > _DENSE_CAP:
+        top = np.abs(m) / np.sqrt(row_w)[:, None] / np.sqrt(col_w)
         return _sandwich(float(top.max()), None, l1, "schur-l1")
-    symmetric = same_w and np.array_equal(m, m.T)
-    scaled = m / np.sqrt(row_w)[:, None]
-    scaled /= np.sqrt(col_w)
-    if not _fits_dense(rows, cols, symmetric):
-        return _sandwich(float(np.abs(scaled).max()), None, l1, "schur-l1")
-    if symmetric:
-        s1 = float(np.abs(np.linalg.eigvalsh(scaled)).max())
-        w = row_w
-    else:
-        s1 = float(np.linalg.svd(scaled, compute_uv=False)[0])
-        w = np.concatenate([row_w, col_w])
+    w = row_w
+    if not symmetric:
+        m, w = z_matrix(m, np.zeros(rows + cols)), np.concatenate([row_w, col_w])
+    scaled = m / np.sqrt(w)[:, None]
+    scaled /= np.sqrt(w)
+    s1 = float(np.abs(np.linalg.eigvalsh(scaled)).max())
     del scaled
     q = _grid(s1)
     u = math.ceil((s1 + 4.0 * psd_shift(2.0 * s1 * w)) / q) * q
-    if symmetric:
-        # one check at a time, so that a large block has one copy alive
-        passed = _shifted_cholesky(np.negative(m), u * w) and _shifted_cholesky(m.copy(), u * w)
-    else:
-        passed = _shifted_cholesky(z_matrix(m, np.zeros(len(w))), u * w)
+    # one check at a time, so that a large block has one copy alive, and
+    # each on a copy: the caller may read its array again
+    passed = _shifted_cholesky(np.negative(m), u * w) and _shifted_cholesky(m.copy(), u * w)
     return _sandwich(s1, u if passed else None, l1, "dense-cholesky")
 
 
@@ -206,11 +191,6 @@ def _weights(w, size: int) -> np.ndarray:
     if w.shape != (size,) or not np.all(np.isfinite(w) & (w >= 1.0)):
         raise ValueError(f"weights must be {size} finite numbers >= 1")
     return w
-
-
-def _fits_dense(rows: int, cols: int, symmetric: bool) -> bool:
-    """Whether the matrix that ``spectral_norm`` factors has at most ``_DENSE_CAP`` rows."""
-    return rows + cols <= _DENSE_CAP or (symmetric and rows <= _DENSE_CAP)
 
 
 def _grid(x: float) -> float:

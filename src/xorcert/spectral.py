@@ -15,11 +15,11 @@ diagonal exclusion is on unordered pairs).  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
 x@x is swap-symmetric, so every block is built folded onto unordered pairs
 (``_accumulate_blocks``), as a dense array of at most n(n+1)/2 rows, and
-bounded by ``linalg.spectral_norm``: one eigen or singular value solve
-proposes the norm, and the Cholesky check on u W -+ C certifies it, with W
-the number of ordered pairs behind each row.  A side with more than
-``_DENSE_CAP`` unordered pairs is not built; the pipeline bounds it by its
-size.
+bounded by ``linalg.spectral_norm``: one ``eigvalsh`` of the block, or of
+its dilation when it is off the diagonal, proposes the norm, and the
+Cholesky check on u W -+ C certifies it, with W the number of ordered pairs
+behind each row.  A side with more than ``_DENSE_CAP`` unordered pairs is
+not built; the pipeline bounds it by its size.
 
 Every table is an array built from the instance's constraint rows: mu as
 rows (part, u, v, mu) sorted by part, u and v (``mu_rows``), the degree

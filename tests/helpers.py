@@ -22,7 +22,6 @@ import numpy as np
 from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
                      WeightClassPartition, bipartite_matrix, brute_force_inf1,
                      brute_force_val, canonical_json, degree_profile, phi2_term)
-from xorcert.linalg import SparseMat
 from xorcert.spectral import Block, _accumulate_blocks
 
 
@@ -137,19 +136,13 @@ def symmetric_block_norm(inst: PartitionedInstance, partition: WeightClassPartit
     return float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
 
 
-def build_block(inst: PartitionedInstance, partition: WeightClassPartition,
-                j: int, k: int) -> SparseMat:
-    """The ordered (j, k) block alone (empty matrix when it has no entries)."""
-    return SparseMat.from_dense(ordered_block(inst, partition, j, k))
-
-
 def build_part_block(inst: PartitionedInstance, partition: WeightClassPartition,
-                     slot: int, j: int, k: int) -> SparseMat:
+                     slot: int, j: int, k: int) -> np.ndarray:
     """Single-part contribution B_{i,j,k} over ordered pairs (for bound cross-checks)."""
     part = degree_profile(inst).part_ids[slot]
     rows = inst.constraints[inst.constraints[:, 0] == part]
     one = PartitionedInstance(n=inst.n, ell=inst.ell, constraints=rows)
-    return build_block(one, partition, j, k)
+    return ordered_block(one, partition, j, k)
 
 
 def mu_tables(inst: PartitionedInstance) -> dict[int, dict[tuple[int, int], int]]:

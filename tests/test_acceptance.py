@@ -45,7 +45,6 @@ from xorcert import (
     verify_certificate_detailed,
     weight_classes,
 )
-from xorcert.linalg import SparseMat
 
 
 def _refute_any(inst, eps):
@@ -151,12 +150,11 @@ def test_criterion_04_norm_certification():
         a[gen.random((rows, cols)) > 0.5] = 0.0
         if i % 3 == 0:
             a = np.sign(a)  # +/-1 pattern matrices too
-        m = SparseMat.from_dense(a)
-        nb = spectral_norm(m)
+        nb = spectral_norm(a)
         sigma = float(np.linalg.svd(a, compute_uv=False)[0]) if a.any() else 0.0
         assert nb.lower <= sigma <= nb.upper, (
             f"matrix {i} ({rows}x{cols}): {sigma} outside [{nb.lower}, {nb.upper}]")
-        assert l1_norm_bound(m) >= sigma, f"matrix {i}: l1 bound below the norm"
+        assert l1_norm_bound(a) >= sigma, f"matrix {i}: l1 bound below the norm"
 
 
 def test_criterion_05_inf1_sandwich():

@@ -68,27 +68,26 @@ def test_spectral_norm_sandwiches_svd(rng):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         a = _random_sparse(rng, rows, cols)
-        m = SparseMat.from_dense(a)
+        before = a.copy()
         sigma = float(np.linalg.svd(a, compute_uv=False)[0])
-        for nb in (spectral_norm(m), spectral_norm(a)):  # sparse, and the dense array as it is
-            assert nb.lower <= sigma <= nb.upper
-            assert nb.upper <= l1_norm_bound(m) * (1 + 1e-11) + 1e-12
-            assert nb.upper - nb.lower <= 1e-6 * max(1.0, sigma)
+        nb = spectral_norm(a)
+        np.testing.assert_array_equal(a, before)  # the checks factor copies
+        assert nb.lower <= sigma <= nb.upper
+        assert nb.upper <= l1_norm_bound(a) * (1 + 1e-11) + 1e-12
+        assert nb.upper - nb.lower <= 1e-6 * max(1.0, sigma)
 
 
 def test_spectral_norm_negative_entry():
-    nb = spectral_norm(SparseMat.from_dense([[-3.0]]))
+    nb = spectral_norm(np.array([[-3.0]]))
     assert nb.lower == pytest.approx(3.0, rel=1e-11)
     assert nb.upper == pytest.approx(3.0, rel=1e-11)
     assert nb.lower <= 3.0 <= nb.upper
 
 
 def test_spectral_norm_zero_and_empty():
-    for zero in (np.zeros((2, 2)), SparseMat.from_dense(np.zeros((2, 2)))):
-        nb = spectral_norm(zero)
-        assert nb.lower == nb.upper == 0.0 and nb.method == "exact-small"
-    empty = SparseMat.from_arrays(0, 4, [], [], [])
-    assert spectral_norm(empty).upper == 0.0
+    nb = spectral_norm(np.zeros((2, 2)))
+    assert nb.lower == nb.upper == 0.0 and nb.method == "exact-small"
+    assert spectral_norm(np.zeros((0, 4))).upper == 0.0
 
 
 def test_spectral_norm_of_an_integer_array():
@@ -113,60 +112,76 @@ def _near_degenerate_top(seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_spectral_norm_near_degenerate_top(seed):
-    # power iteration stalls between two nearly equal singular values, and
-    # its residual bound then lands within reach of sigma_2, below sigma_1
+    # two nearly equal top singular values: the dilation's top |eigenvalue|
+    # still proposes an upper that its Cholesky checks certify
     a = _near_degenerate_top(seed)
     sigma = float(np.linalg.svd(a, compute_uv=False)[0])
-    nb = spectral_norm(SparseMat.from_dense(a))
+    nb = spectral_norm(a)
     assert nb.lower <= sigma <= nb.upper
     assert nb.method == "dense-cholesky"
 
 
-@pytest.mark.parametrize("shape", [(5051, 5051), (2526, 2525)], ids=["symmetric", "rectangular"])
-def test_spectral_norm_above_the_cap_is_the_l1_bound(shape):
-    # past the dense cap there is no sound u, so the upper is the l1 bound
+def _no_dilation(*args):
+    raise AssertionError("a dilation was built")
+
+
+@pytest.mark.parametrize("shape", [(51, 51), (26, 25)], ids=["symmetric", "rectangular"])
+def test_spectral_norm_above_the_cap_is_the_l1_bound(monkeypatch, shape):
+    # past the dense cap there is no sound u, so the upper is the l1 bound;
+    # the cap is tested on rows + cols before any dilation is built
+    monkeypatch.setattr(xorcert.linalg, "_DENSE_CAP", 50)
+    monkeypatch.setattr(xorcert.linalg, "z_matrix", _no_dilation)
+    with pytest.raises(AssertionError, match="dilation"):
+        spectral_norm(np.ones((2, 3)))  # the patch bites below the cap
     gen = np.random.default_rng(3)
     rows, cols = shape
     r, c, v = gen.integers(0, rows, 400), gen.integers(0, cols, 400), gen.standard_normal(400)
     if rows == cols:
         r, c, v = np.concatenate([r, c]), np.concatenate([c, r]), np.concatenate([v, v])
-    m = SparseMat.from_arrays(rows, cols, r, c, v)
+    m = np.zeros(shape)
+    np.add.at(m, (r, c), v)
     nb = spectral_norm(m)
     assert nb.method == "schur-l1"
     assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
-    assert nb.lower <= m.abs_max() <= nb.upper  # every entry is below the norm
+    assert nb.lower <= np.abs(m).max() <= nb.upper  # every entry is below the norm
 
 
 def test_spectral_norm_falls_back_to_l1_when_the_check_fails(monkeypatch):
     monkeypatch.setattr(xorcert.linalg, "_shifted_cholesky", lambda a, slack: False)
     for a in ([[1.0, 2.0], [2.0, -1.0]], [[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]):
-        m = SparseMat.from_dense(a)
+        m = np.array(a)
         nb = spectral_norm(m)
-        sigma = float(np.linalg.svd(np.asarray(a), compute_uv=False)[0])
+        sigma = float(np.linalg.svd(m, compute_uv=False)[0])
         assert nb.method == "schur-l1"
         assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
         assert nb.lower <= sigma
 
 
-def _weighted_case(rng, rows, cols):
-    """A random matrix with pair-count weights in {1, 2}, and the norm of its scaled form."""
+def _weighted_case(rng, rows, cols, same_w=True):
+    """A random matrix with pair-count weights in {1, 2}, and the norm of its scaled form.
+
+    A square matrix is made symmetric, with W_c = W_r when same_w.
+    """
     a = _random_sparse(rng, rows, cols)
     row_w = rng.integers(1, 3, rows).astype(float)
-    col_w = row_w if rows == cols else rng.integers(1, 3, cols).astype(float)
+    col_w = row_w if rows == cols and same_w else rng.integers(1, 3, cols).astype(float)
     if rows == cols:
         a = a + a.T
     scaled = a / np.sqrt(np.multiply.outer(row_w, col_w))
     return a, row_w, col_w, float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (5, 8)], ids=["symmetric", "rectangular"])
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8), (6, 6, False)],
+                         ids=["symmetric", "rectangular", "symmetric-unequal-weights"])
 def test_weighted_norm_sandwiches_the_scaled_norm(rng, shape):
-    # a SparseMat goes dense below the cap, so it gets its array's bound
+    # the array is left as it was, so a second call gets the same bound
     for _ in range(10):
         a, row_w, col_w, sigma = _weighted_case(rng, *shape)
+        before = a.copy()
         nb = spectral_norm(a, row_w, col_w)
         assert nb.lower <= sigma <= nb.upper <= sigma * (1 + 1e-6) + 1e-12
-        assert spectral_norm(SparseMat.from_dense(a), row_w, col_w) == nb
+        np.testing.assert_array_equal(a, before)
+        assert spectral_norm(a, row_w, col_w) == nb
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8)], ids=["symmetric", "rectangular"])
@@ -176,11 +191,10 @@ def test_weighted_norm_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
     monkeypatch.setattr(xorcert.linalg, "_DENSE_CAP", 4)
     for _ in range(10):
         a, row_w, col_w, sigma = _weighted_case(rng, *shape)
-        for m in (a, SparseMat.from_dense(a)):
-            nb = spectral_norm(m, row_w, col_w)
-            assert nb.method == "schur-l1"
-            assert nb.upper == l1_norm_bound(m) * (1.0 + xorcert.linalg._ROUND_GUARD)
-            assert nb.lower <= sigma
+        nb = spectral_norm(a, row_w, col_w)
+        assert nb.method == "schur-l1"
+        assert nb.upper == l1_norm_bound(a) * (1.0 + xorcert.linalg._ROUND_GUARD)
+        assert nb.lower <= sigma
 
 
 @pytest.mark.parametrize("row_w, col_w", [
@@ -192,10 +206,8 @@ def test_weighted_norm_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
     (np.ones((3, 1)), None),
 ], ids=["short", "swapped", "below-one", "nan", "inf", "column-shaped"])
 def test_weighted_norm_rejects_bad_weights(row_w, col_w):
-    a = np.arange(6.0).reshape(3, 2)
-    for m in (a, SparseMat.from_dense(a)):
-        with pytest.raises(ValueError, match="weights"):
-            spectral_norm(m, row_w, col_w)
+    with pytest.raises(ValueError, match="weights"):
+        spectral_norm(np.arange(6.0).reshape(3, 2), row_w, col_w)
 
 
 def test_min_eig_check():
@@ -251,8 +263,8 @@ def _near_degenerate(seed: int) -> tuple[np.ndarray, float]:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_min_eig_check_near_degenerate(seed):
-    # a nearly repeated smallest eigenvalue stalls power iteration, whose
-    # estimate then lies above lambda_min; the Cholesky check has no such gap
+    # a nearly repeated smallest eigenvalue: the Cholesky check still
+    # decides within a relative 1e-6 of lambda_min, on either side
     s, lam = _near_degenerate(seed)
     assert not min_eig_check(s, (1.0 - 1e-6) * abs(lam))
     assert min_eig_check(s, (1.0 + 1e-6) * abs(lam))
@@ -305,7 +317,6 @@ def test_bernstein_threshold_validation():
 def test_spectral_norm_property(seed):
     rng = np.random.default_rng(seed)
     a = np.round(rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6)))), 2)
-    m = SparseMat.from_dense(a)
-    nb = spectral_norm(m)
+    nb = spectral_norm(a)
     sigma = float(np.linalg.svd(a, compute_uv=False)[0])
     assert nb.lower <= sigma <= nb.upper

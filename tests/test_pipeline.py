@@ -460,9 +460,9 @@ def test_light_side_below_the_dense_cap_runs_no_power_iteration(monkeypatch):
 
 
 def test_light_block_above_the_old_cap_is_certified_dense(monkeypatch):
-    # one class of 40^2 = 1600 ordered pairs, past the 1024-row cap where
-    # power iteration took over before; folded onto 820 unordered pairs it
-    # takes the dense eigen proposal and the Cholesky checks
+    # one class of 40^2 = 1600 ordered pairs, past the old 1024-row cap;
+    # folded onto 820 unordered pairs it fits under the dense cap and is
+    # certified by the dense eigen proposal and the Cholesky checks
     inst = gen_kxor(GenSpec(kind="random", n=40, m=4000, seed=1, k=3))
     methods = _norm_methods(monkeypatch)
     cert = refute_kxor(inst, eps=0.3)
@@ -485,9 +485,9 @@ def test_light_side_above_the_cap_is_bounded_by_its_size(monkeypatch):
 
 
 def test_presentation_does_not_drop_a_block_to_its_l1_bound():
-    # heavy-group 3-XOR under one gauge and clause order: power iteration
-    # stopped early on stagnation there, the block fell back to its l1 bound
-    # (61.10 instead of 8.669) and the outcome was UNKNOWN at 0.8343
+    # heavy-group 3-XOR under one gauge and clause order, where a block left
+    # at its l1 bound (61.10, against its norm 8.669) made the outcome
+    # UNKNOWN at 0.8343: the dense check certifies it, refuting below 0.66
     base = gen_kxor(GenSpec(kind="heavy-group", n=20, m=1500, seed=1, k=3,
                             params={"group_size": 500}))
     clauses = np.asarray(base.clauses, dtype=np.int64)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import xorcert.spectral
 from conftest import dupfree_partitioned
-from helpers import (build_block, build_blocks, build_part_block, butterfly_reference,
+from helpers import (build_blocks, build_part_block, butterfly_reference,
                      empirical_variance_norm, mu_tables, ordered_block, phi1_direct,
                      phi1_from_blocks, phi_direct, symmetric_block_norm)
 from xorcert import (
@@ -124,8 +124,8 @@ def test_block_entries_hand_example():
 def test_single_constraint_has_no_blocks():
     inst = PartitionedInstance(n=4, ell=2, constraints=((1, 2, 3, -1),))
     assert build_blocks(inst, _all_s0(4)) == {}
-    mat = build_block(inst, _all_s0(4), 0, 0)
-    assert mat.rows == 0 and mat.nnz == 0
+    mat = ordered_block(inst, _all_s0(4), 0, 0)
+    assert mat.shape[0] == 0 and not mat.any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,7 +258,7 @@ def test_analytic_bounds_dominate_empirical():
         r = block_r_bound(partition, j, k, d)
         for slot in range(len(profile.t)):
             part_mat = build_part_block(inst, partition, slot, j, k)
-            if part_mat.nnz:
+            if part_mat.any():
                 assert spectral_norm(part_mat).upper <= r * (1 + 1e-9)
 
 
@@ -326,7 +326,7 @@ def _no_sparse(*args, **kwargs):
     (gen_random_partitioned(20, 20, 1200, seed=1), 1.0, 1),  # one clamped 400-pair class
     (gen_random_partitioned(8, 2, 30, seed=1), 1e-5, 4),
 ])
-def test_small_side_never_builds_coo_blocks(monkeypatch, inst, alpha_c, count):
+def test_small_side_never_builds_a_sparsemat(monkeypatch, inst, alpha_c, count):
     monkeypatch.setattr(SparseMat, "__init__", _no_sparse)
     with pytest.raises(AssertionError, match="SparseMat"):
         SparseMat.from_dense(np.eye(2))  # the patch catches every construction
