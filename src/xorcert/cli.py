@@ -175,9 +175,6 @@ def cmd_verify(args) -> int:
     for msg in failures:
         log.warning("verify: %s", msg)
     if ok and args.brute:
-        n_bits = inst.n if isinstance(inst, KXorInstance) else inst.n + inst.ell
-        if n_bits > args.brute_cap:
-            raise CliError(f"instance too large for --brute ({n_bits} > {args.brute_cap} bits)")
         val, _ = brute_force_val(inst, cap=args.brute_cap)
         if float(val) > cert.certified_val_upper:
             ok = False

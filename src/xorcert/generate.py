@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import KXorInstance, PartitionedInstance
+from .instances import KXorInstance, PartitionedInstance, _count
 
 # constant key for seed-independent background clauses in adversarial families
 _BACKGROUND_KEY = 0x9E3779B97F4A7C15
@@ -29,13 +29,12 @@ class GenSpec:
     m: int
     seed: int
     k: int | None = None
-    ell: int | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if _count(self.n, "n") < 1:
             raise ValueError("n must be positive")
-        if self.m < 1:
+        if _count(self.m, "m") < 1:
             raise ValueError("m must be positive")
 
 
@@ -124,9 +123,9 @@ def gen_kxor(spec: GenSpec) -> KXorInstance:
 
 def gen_random_partitioned(n: int, ell: int, m: int, seed: int) -> PartitionedInstance:
     """Uniform partitioned 2-XOR: random parts, random pairs, random signs."""
-    if n < 2:
+    if _count(n, "n") < 2:
         raise ValueError("n must be >= 2")
-    if ell < 1 or m < 1:
+    if _count(ell, "ell") < 1 or _count(m, "m") < 1:
         raise ValueError("ell and m must be positive")
     rng = _rng(seed)
     parts = rng.integers(0, ell, size=m)

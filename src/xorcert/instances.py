@@ -30,9 +30,10 @@ def _check_sign(s: int) -> None:
 
 
 def _count(value, what: str) -> int:
-    """value as a Python int; booleans and floats are rejected."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    """value as a Python int; booleans, floats and integers beyond int64 are rejected."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
+            or not -2 ** 63 <= value < 2 ** 63):
+        raise ValueError(f"{what} must be an int64 integer, got {value!r}")
     return int(value)
 
 
@@ -284,39 +285,26 @@ def to_json_dict(inst) -> dict:
     return {**scalars, "constraints": rows.tolist()}
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_rows(data: dict) -> list:
-    rows = data["constraints"]
-    if not isinstance(rows, list):
-        raise ValueError("constraints must be a list")
-    return rows
-
-
 def from_json_dict(data: dict):
     """Parse an instance from its canonical JSON dictionary.
 
-    Everything but the layout is checked by the instance constructors; here
-    the top level must be an object and the constraints a list.  int_rows
-    then checks that every row has the right length and that every number
-    is a JSON integer (not a float or a boolean).
+    Here the top level must be an object; everything else is checked once,
+    by the code that builds the instance.  ``_count`` takes n, k and ell
+    only as int64 integers (not floats or booleans), and ``int_rows`` takes
+    the constraints only as a list of rows of the right length whose every
+    number is an int64 integer.
     """
     if not isinstance(data, dict):
         raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "kxor":
-        k = _json_int(data["k"], "k")
-        rows = int_rows(_json_rows(data), k + 1, "constraints")
-        return KXorInstance(n=_json_int(data["n"], "n"), k=k,
+        k = _count(data["k"], "k")
+        rows = int_rows(data["constraints"], k + 1, "constraints")
+        return KXorInstance(n=data["n"], k=k,
                             clauses=np.sort(rows[:, :-1], axis=1), signs=rows[:, -1])
     if kind == "p2xor":
-        return PartitionedInstance.make(n=_json_int(data["n"], "n"),
-                                        ell=_json_int(data["ell"], "ell"),
-                                        constraints=_json_rows(data))
+        return PartitionedInstance.make(n=data["n"], ell=data["ell"],
+                                        constraints=data["constraints"])
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

@@ -156,12 +156,8 @@ def inf1_upper(m: np.ndarray) -> tuple[float, DualCert]:
     else d0's alone.
     """
     d0 = np.concatenate([np.abs(m).sum(axis=1), np.abs(m).sum(axis=0)])
-    mixed = _mixing_solve(m)
-    if _rounded(m, mixed).bound() < _rounded(m, d0).bound():
-        order = (mixed, d0)
-    else:
-        order = (d0, mixed)
-    for d in order:
+    # sorted is stable, so d0 comes first on a tie
+    for d in sorted((d0, _mixing_solve(m)), key=lambda d: _rounded(m, d).bound()):
         cert = _certify(m, d)
         if cert is not None:
             return cert.bound(), cert

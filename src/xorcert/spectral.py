@@ -267,9 +267,6 @@ class BlockRecord:
     r_bound: float
     bernstein_t: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DBoundedReport:

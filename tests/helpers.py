@@ -174,14 +174,6 @@ def butterfly_reference(inst: PartitionedInstance) -> dict[tuple[int, int], floa
     return gamma
 
 
-def part_biases(inst: PartitionedInstance, x: np.ndarray) -> list[float]:
-    """b_i(x) = sum_e mu_i(e) x^e for each nonempty part."""
-    out = []
-    for table in mu_tables(inst).values():
-        out.append(float(sum(w * x[u] * x[v] for (u, v), w in table.items())))
-    return out
-
-
 def phi_direct(inst: PartitionedInstance, x: np.ndarray) -> float:
     """Phi(x) = sum_i b_i(x)^2 / sqrt(t_i), evaluated directly."""
     profile = degree_profile(inst)

@@ -293,7 +293,12 @@ def test_refute_rejects_tiny_eps(workdir, capsys, eps):
     '{"kind": "p2xor", "n": 4, "ell": 1, "constraints": [[0, 1.7, 2, 1]]}',  # float vertex
     '{"kind": "kxor", "n": 4, "k": 3, "constraints": [[0, 1, 2, 1.5]]}',  # float sign
     '{"kind": "kxor", "n": 4, "k": 3, "constraints": [[0, 1, 2, true]]}',  # boolean sign
-], ids=["not-object", "short-row", "float-vertex", "float-sign", "bool-sign"])
+    '{"kind": "p2xor", "n": 100000000000000000000000000000, "ell": 1, '
+    '"constraints": [[0, 0, 1, 1]]}',  # n beyond int64
+    '{"kind": "p2xor", "n": 4, "ell": 100000000000000000000000000000, '
+    '"constraints": [[0, 0, 1, 1]]}',  # ell beyond int64
+], ids=["not-object", "short-row", "float-vertex", "float-sign", "bool-sign",
+        "huge-n", "huge-ell"])
 def test_malformed_instance_is_an_input_error(workdir, capsys, text):
     inst = workdir / "inst.json"
     cert = workdir / "cert.json"
@@ -304,6 +309,14 @@ def test_malformed_instance_is_an_input_error(workdir, capsys, text):
     out, err = capsys.readouterr()
     assert "bad instance file" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("kind,arity", [("p2xor", "--ell"), ("random", "--k")],
+                         ids=["p2xor", "random"])
+def test_generate_rejects_n_beyond_int64(workdir, capsys, kind, arity):
+    assert run("generate", "--kind", kind, "--n", 10 ** 29, "--m", 10, arity, 2,
+               "-o", workdir / "inst.json") == 2
+    assert "Traceback" not in "".join(capsys.readouterr())
 
 
 @pytest.mark.parametrize("inst", [

@@ -173,7 +173,7 @@ def _weighted_case(rng, rows, cols, same_w=True):
 
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (6, 6, False)],
                          ids=["symmetric", "rectangular", "symmetric-unequal-weights"])
-def test_weighted_norm_sandwiches_the_scaled_norm(rng, shape):
+def test_spectral_norm_weighted_sandwiches_the_scaled_norm(rng, shape):
     # the array is left as it was, so a second call gets the same bound
     for _ in range(10):
         a, row_w, col_w, sigma = _weighted_case(rng, *shape)
@@ -185,7 +185,7 @@ def test_weighted_norm_sandwiches_the_scaled_norm(rng, shape):
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (5, 8)], ids=["symmetric", "rectangular"])
-def test_weighted_norm_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
+def test_spectral_norm_weighted_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
     # the l1 bound of the unscaled matrix holds since W >= 1; the lower
     # bound is the largest scaled |entry|, which is below the scaled norm
     monkeypatch.setattr(xorcert.linalg, "_DENSE_CAP", 4)
@@ -205,7 +205,7 @@ def test_weighted_norm_above_the_cap_is_the_l1_bound(monkeypatch, rng, shape):
     (None, [math.inf, 1.0]),
     (np.ones((3, 1)), None),
 ], ids=["short", "swapped", "below-one", "nan", "inf", "column-shaped"])
-def test_weighted_norm_rejects_bad_weights(row_w, col_w):
+def test_spectral_norm_weighted_rejects_bad_weights(row_w, col_w):
     with pytest.raises(ValueError, match="weights"):
         spectral_norm(np.arange(6.0).reshape(3, 2), row_w, col_w)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -191,6 +192,10 @@ def test_verify_rejects_kind_mismatch(dense_kxor):
     assert not ok
 
 
+def _one_ulp_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
 @pytest.mark.parametrize("path,value", [
     (("outcome",), "UNKNOWN"),
     (("certified_val_upper",), 0.5),
@@ -205,12 +210,26 @@ def test_verify_rejects_kind_mismatch(dense_kxor):
     (("heavy", "report", "dual", "slack"), 0.0),
     (("reduction", "psi_digest"), "0" * 64),
     (("schema",), "cert_v0"),
+    # a negative d entry, a negative slack and an off-grid d entry, each in
+    # the heavy and the whole dual, are caught by the dual check itself
+    *[(dual + leaf, change) for dual in (("heavy", "report", "dual"), ("whole", "dual"))
+      for leaf, change in ((("d_left", 0), operator.neg), (("slack",), operator.neg),
+                           (("d_right", 0), _one_ulp_up))],
 ])
-def test_verify_rejects_single_field_corruption(dense_kxor, path, value):
-    inst, cert = dense_kxor
+def test_verify_rejects_single_field_corruption(request, path, value):
+    inst, cert = request.getfixturevalue("whole_kxor" if path[0] == "whole" else "dense_kxor")
+    forged_dual = callable(value)
+    if forged_dual:
+        node = cert.payload
+        for key in path:
+            node = node[key]
+        value = value(node)
+        assert value != node
     bad = _mutate(cert, path, value)
     ok, errors = verify_certificate_detailed(bad, inst)
     assert not ok and errors
+    if forged_dual:
+        assert errors[0].startswith("dual certificate"), errors
 
 
 def test_verify_rejects_malformed_payload(dense_kxor):
