@@ -11,9 +11,14 @@ Z(d) PSD is the dual of the standard SDP relaxation, whose value exceeds the
 true norm by at most the Grothendieck constant.
 
 The multipliers come from the low-rank mixing method on the primal SDP,
-whose sweeps are two dense products with M.  The solver is not trusted:
-its d is shifted onto the PSD boundary, rounded onto a grid and kept only
-if the Cholesky check passes, and the l1 multipliers d0 stand otherwise.
+whose sweeps are two dense products with M.  It stops on a duality gap:
+any unit vectors give a primal value <M, V_L V_R^T> at most the SDP
+optimum, and any d shifted onto the PSD boundary gives a dual sum(d)/2 at
+least that optimum, so once the two are within a relative _MIX_GAP of
+each other, sum(d)/2 is within _MIX_GAP of the optimum, however the rows
+and columns are ordered.  The solver is not trusted: its d is
+rounded onto a grid and kept only if the Cholesky check passes, and the
+l1 multipliers d0 stand otherwise.
 """
 from __future__ import annotations
 
@@ -27,12 +32,24 @@ from .linalg import _grid, min_eig_check, psd_shift, z_matrix
 # Grothendieck's constant is below pi / (2 ln(1 + sqrt(2))) < 1.8
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
 
-# the mixing method stops once a sweep moves no entry of V_R by more than
-# _MIX_TOL, or after _MIX_SWEEPS sweeps; it starts from a fixed Philox draw,
-# so refute stays deterministic
-_MIX_TOL = 1e-10
+# the mixing method starts from a fixed Philox draw, so refute stays
+# deterministic.  Its first _MIX_PLAIN sweeps are plain and the rest are
+# over-relaxed by _MIX_OMEGA.  It stops once the dual is within a relative
+# _MIX_GAP of the primal, far below the 2^-24 grid of ``_rounded``, or
+# after _MIX_SWEEPS sweeps.  A gap check (one eigvalsh of order
+# s = min(a, b)) costs about 2s/r sweeps of rank r, so one check every
+# ceil(_MIX_CHECK * s / r) sweeps costs about a fifth of the sweeps' time.
+_MIX_OMEGA = 1.6
+_MIX_GAP = 1e-12
+_MIX_PLAIN = 16
+_MIX_CHECK = 10
 _MIX_SWEEPS = 20000
 _MIX_KEY = 0
+# the solved d is raised by a relative 2^-36 (which keeps Z(d) PSD): a
+# multiplier that is exactly a grid point of ``_rounded``, such as 1/2 for a
+# vertex in one constraint of A, then rounds up whatever its last bits, which
+# depend on how the rows and columns are ordered and signed
+_MIX_RAISE = 1.0 + 2.0 ** -36
 
 
 @dataclass(frozen=True)
@@ -76,48 +93,94 @@ class DualCert:
         return cert
 
 
-def _rownorm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The rows of g scaled in place to unit length; a zero row takes v's row."""
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+def _norms(g: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", g, g))
+
+
+def _relaxed(g: np.ndarray, norms: np.ndarray, v: np.ndarray, omega: float) -> np.ndarray:
+    """v moved omega of the way to g's rows scaled to unit length, then rescaled.
+
+    g, whose row norms are ``norms``, is overwritten.  A zero row of g takes
+    v's row.  For unit rows u and v and omega >= 1, |v + omega(u - v)| >= 1,
+    so the rescaling never divides by zero.
+    """
+    norms = norms[:, None]
     np.divide(g, norms, out=g, where=norms > 0.0)
     np.copyto(g, v, where=norms == 0.0)
+    if omega != 1.0:
+        g -= v
+        g *= omega
+        g += v
+        g /= _norms(g)[:, None]
     return g
 
 
-def _mixing_solve(m: np.ndarray) -> np.ndarray:
-    """Multipliers d that nearly minimize sum(d) subject to Z(d) PSD.
+def _on_boundary(m: np.ndarray, d_left: np.ndarray, d_right: np.ndarray) -> np.ndarray:
+    """(d_left, d_right) with the shorter side shifted so that Z(d) is on the PSD boundary.
 
-    The mixing method (Wang, Chang & Kolter, arXiv 1706.00476; Burer &
-    Monteiro, Math. Prog. 2003) maximizes <M, V_L V_R^T> over unit rows
-    of rank r = ceil(sqrt(2(a+b))) + 1, high enough that, for almost every
-    M, its local optima are global.  The dilation is bipartite, so an
-    exact Gauss-Seidel sweep is two products.  The stopping rule watches
-    the vectors, not the value: the value is flat near the optimum, so it
-    stalls while d still moves in its eighth digit.  The multipliers
-    d = (|(M V_R)_i|, |(M^T V_L)_j|) are then moved onto the PSD boundary:
-    with d_L > 0, Z(d) is PSD iff the Schur complement
-    Diag(d_R) - M^T Diag(d_L)^-1 M is, so d_R is shifted by minus its
-    least eigenvalue.  A zero row or column of M gets d = 0.  Nothing here
-    is trusted; ``_certify`` decides.
+    With d_L > 0, Z(d) is PSD iff the Schur complement
+    Diag(d_R) - M^T Diag(d_L)^-1 M is, so d_R is shifted by minus its least
+    eigenvalue; when M has more columns than rows the same is done on M^T.
+    A zero row or column of M has d = 0 and stays out of the complement.
     """
     a, b = m.shape
-    rank = math.ceil(math.sqrt(2 * (a + b))) + 1
-    v = np.random.Generator(np.random.Philox(key=_MIX_KEY)).standard_normal((a + b, rank))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    v_left, v_right = v[:a], v[a:]
-    for _ in range(_MIX_SWEEPS):
-        v_left = _rownorm(m @ v_right, v_left)
-        moved, v_right = v_right, _rownorm(m.T @ v_left, v_right)
-        if float(np.abs(v_right - moved).max(initial=0.0)) <= _MIX_TOL:
-            break
-    d_left = np.linalg.norm(m @ v_right, axis=1)
-    d_right = np.linalg.norm(m.T @ v_left, axis=1)
+    if b > a:
+        d = _on_boundary(m.T, d_right, d_left)
+        return np.concatenate([d[b:], d[:b]])
     rows, cols = d_left > 0.0, d_right > 0.0
+    d_right = d_right.copy()
     if rows.any() and cols.any():
         sub = m[np.ix_(rows, cols)]
         schur = np.diag(d_right[cols]) - sub.T @ (sub / d_left[rows, None])
         d_right[cols] -= float(np.linalg.eigvalsh(schur)[0])
     return np.concatenate([d_left, d_right])
+
+
+def _mixing_solve(m: np.ndarray) -> np.ndarray:
+    """Multipliers d within a relative _MIX_GAP of the least sum(d) with Z(d) PSD.
+
+    The mixing method (Wang, Chang & Kolter, arXiv 1706.00476; Burer &
+    Monteiro, Math. Prog. 2003) maximizes <M, V_L V_R^T> over unit rows
+    of rank r = ceil(sqrt(2(a+b))) + 1, high enough that, for almost every
+    M, its local optima are global.  The dilation is bipartite, so an
+    exact Gauss-Seidel sweep is two products.  After _MIX_PLAIN plain
+    sweeps, each row moves _MIX_OMEGA of the way to its Gauss-Seidel
+    target (successive over-relaxation): this cuts the sweeps of a slowly
+    converging M several-fold, but shrinks the error by no more than a
+    factor omega - 1 per sweep, so the plain sweeps first let a fast M
+    finish at the pace of plain Gauss-Seidel.
+
+    The multipliers d = (|(M V_R)_i|, |(M^T V_L)_j|), moved onto the PSD
+    boundary by ``_on_boundary``, make a dual: Z(d) PSD gives
+    <M, X> <= sum(d)/2 for every feasible X of the SDP, so sum(d)/2 is at
+    least the SDP optimum, while the primal <M, V_L V_R^T> is at most it.
+    Once sum(d)/2 - primal <= _MIX_GAP * sum(d)/2, that d is within
+    _MIX_GAP of the optimum, whatever the sweeps' order or start; it is
+    returned times _MIX_RAISE.  Nothing here is trusted; ``_certify`` decides.
+    """
+    a, b = m.shape
+    rank = math.ceil(math.sqrt(2 * (a + b))) + 1
+    every = max(1, math.ceil(_MIX_CHECK * min(a, b) / rank))
+    v = np.random.Generator(np.random.Philox(key=_MIX_KEY)).standard_normal((a + b, rank))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v_left, v_right = v[:a], v[a:]
+    g = m @ v_right
+    d_left = _norms(g)
+    for sweep in range(1, _MIX_SWEEPS + 1):
+        omega = 1.0 if sweep <= _MIX_PLAIN else _MIX_OMEGA
+        v_left = _relaxed(g, d_left, v_left, omega)
+        h = m.T @ v_left
+        d_right = _norms(h)
+        v_right = _relaxed(h, d_right, v_right, omega)
+        g = m @ v_right
+        d_left = _norms(g)
+        if sweep % every and sweep < _MIX_SWEEPS:
+            continue
+        d = _on_boundary(m, d_left, d_right)
+        dual = math.fsum(d) / 2.0
+        if dual - float(np.einsum("ij,ij->", v_left, g)) <= _MIX_GAP * dual:
+            break
+    return d * _MIX_RAISE
 
 
 def _rounded(m: np.ndarray, d: np.ndarray) -> DualCert:

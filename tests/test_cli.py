@@ -6,7 +6,8 @@ import json
 import pytest
 
 import xorcert.cli
-from xorcert import Certificate, KXorInstance, PartitionedInstance, load_instance, save_instance
+from xorcert import (Certificate, KXorInstance, PartitionedInstance, RefuteConfig, load_instance,
+                     refute_partitioned, save_instance, verify_certificate_detailed)
 from xorcert.cli import CSV_HEADER, main
 
 
@@ -353,4 +354,34 @@ def test_deeply_nested_json_is_an_input_error(workdir, capsys, which):
         assert run("verify", "--inst", inst, "--cert", nested) == 2
     out, err = capsys.readouterr()
     assert f"bad {which} file" in err
+    assert "Traceback" not in out + err
+
+
+HUGE_N = 2 ** 28
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_huge_declared_n_refutes_and_verifies(workdir, capsys, ell):
+    # two cancelling constraints on vertices 0 and 2^28 - 1: sized by the
+    # declared n, A would take 512 PiB and the heavy side 2 GiB; at eps 0.4,
+    # c_split 0.25 gives d_cap 2, so for ell = 2 both constraints go heavy
+    inst = PartitionedInstance(n=HUGE_N, ell=ell, constraints=(
+        (0, 0, HUGE_N - 1, 1), (0, 0, HUGE_N - 1, -1)))
+    config = RefuteConfig(c_split=0.25)
+    cert = refute_partitioned(inst, 0.4, config)
+    report = cert.payload["whole"] if ell == 1 else cert.payload["heavy"]["report"]
+    assert (report["rows"], report["cols"]) == ((2, 2) if ell == 1 else (1, 2))
+    assert cert.outcome == "REFUTED"
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+    path = workdir / "inst.json"
+    config_path = workdir / "config.json"
+    cert_path = workdir / "cert.json"
+    save_instance(inst, path)
+    config_path.write_text(json.dumps(config.to_json_dict()))
+    capsys.readouterr()
+    assert run("refute", "--in", path, "--eps", 0.4, "--config", config_path,
+               "-o", cert_path) == 0
+    assert run("verify", "--inst", path, "--cert", cert_path) == 0
+    out, err = capsys.readouterr()
     assert "Traceback" not in out + err

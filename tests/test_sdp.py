@@ -22,7 +22,9 @@ from xorcert import (
     verify_certificate_detailed,
     z_matrix,
 )
-from xorcert.sdp import _certify, _mixing_solve
+from xorcert.pipeline import _whole_matrix
+from xorcert.reduce import kxor_to_partitioned
+from xorcert.sdp import _MIX_GAP, _MIX_RAISE, _certify, _mixing_solve
 
 
 def test_z_matrix_assembly():
@@ -153,6 +155,40 @@ def test_inf1_upper_ignores_signs_and_order(seed):
     bound, _ = inf1_upper(a)
     moved_bound, _ = inf1_upper(moved)
     assert abs(moved_bound - bound) <= 1e-9 * bound
+
+
+def test_whole_bound_ignores_a_gauge_and_vertex_order():
+    # the ell = 1 twin of the test above, on light4's member: D A D for a
+    # sign vector D, with the vertices permuted, has the same SDP value
+    psi = kxor_to_partitioned(gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))).psi
+    a = _whole_matrix(psi, None)
+    bound, _ = inf1_upper(a)
+    for seed in range(4):
+        gen = np.random.default_rng(200 + seed)
+        sign = gen.choice([-1.0, 1.0], size=len(a))
+        order = gen.permutation(len(a))
+        moved, _ = inf1_upper((sign[:, None] * a * sign)[np.ix_(order, order)])
+        assert abs(moved - bound) <= 1e-9 * bound
+
+
+def _hadamard_16() -> np.ndarray:
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("m, value", [
+    (_hadamard_16(), 64.0),
+    # a rank-one sign matrix u v^T has SDP value |u|_1 |v|_1
+    (np.outer(_sign_matrix(3, 30, 1)[:, 0], _sign_matrix(4, 7, 1)[:, 0]), 30.0 * 7.0),
+], ids=["hadamard-16", "rank-one"])
+def test_mixing_solve_stops_within_its_gap(m, value):
+    # the solve stops only once its dual sum(d)/2, before the final raise, is
+    # within a relative _MIX_GAP of a primal value, so of the SDP optimum
+    dual = float(_mixing_solve(m).sum()) / 2.0 / _MIX_RAISE
+    noise = 1e-14 * value
+    assert value - noise <= dual <= value * (1.0 + _MIX_GAP) + noise
 
 
 def test_inf1_upper_is_deterministic():
