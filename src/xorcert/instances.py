@@ -253,15 +253,12 @@ class DegreeProfile(ValueEq):
 
 
 def degree_profile(inst: PartitionedInstance) -> DegreeProfile:
-    """Per-part sizes and degrees from bincounts, dropping empty parts."""
+    """Per-part sizes and degrees, with a slot per part the constraints use, in ascending order."""
     part, u, v, _ = inst.constraints.T
-    t = np.bincount(part, minlength=inst.ell)
-    part_ids = np.flatnonzero(t)
-    slot = np.searchsorted(part_ids, part) * inst.n
-    size = len(part_ids) * inst.n
+    part_ids, slot, t = np.unique(part, return_inverse=True, return_counts=True)
+    slot, size = slot * inst.n, len(part_ids) * inst.n
     deg = np.bincount(slot + u, minlength=size) + np.bincount(slot + v, minlength=size)
-    return DegreeProfile(n=inst.n, part_ids=part_ids, t=t[part_ids],
-                         deg=deg.reshape(len(part_ids), inst.n))
+    return DegreeProfile(n=inst.n, part_ids=part_ids, t=t, deg=deg.reshape(len(part_ids), inst.n))
 
 
 # ---------------------------------------------------------------------------

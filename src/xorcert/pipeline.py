@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RefuteConfig
 from .instances import KXorInstance, PartitionedInstance, instance_digest
 from . import sdp
-from .reduce import BipartiteInstance, decompose, kxor_to_partitioned
+from .reduce import bipartite_matrix, decompose, kxor_to_partitioned, on_touched_vertices
 from .sdp import DualCert, two_xor_value
 from .spectral import certify_dbounded, side_fits
 
@@ -112,37 +112,16 @@ def _sdp_report(mat: np.ndarray, dual: DualCert, eps: float, m: int) -> dict:
             "bound": bound, "val_upper": val_upper, "dual": dual.to_json_dict()}
 
 
-def _columns(ids: np.ndarray, n: int, touched: np.ndarray | None) -> tuple[int, np.ndarray]:
-    """The number of SDP columns and the column of each vertex in ids.
-
-    With touched None the columns are the vertices 0..n-1 themselves;
-    otherwise they are the sorted touched vertices, and a vertex's column
-    is its rank among them.
-    """
-    if touched is None:
-        return n, ids
-    return len(touched), np.searchsorted(touched, ids)
-
-
-def _whole_matrix(psi: PartitionedInstance, touched: np.ndarray | None) -> np.ndarray:
+def _whole_matrix(psi: PartitionedInstance) -> np.ndarray:
     """A = sum_c s_c (e_u e_v^T + e_v e_u^T) / 2, so that x^T A x is the advantage at x.
 
-    A has a row and a column per vertex (see ``_columns``).  Its entries
-    are halves of integer sums, so A is exact and exactly symmetric.
+    A has a row and a column per vertex of psi.  Its entries are halves of
+    integer sums, so A is exact and exactly symmetric.
     """
-    size, uv = _columns(psi.constraints[:, 1:3], psi.n, touched)
-    one_sided = np.zeros((size, size))
-    np.add.at(one_sided, (uv[:, 0], uv[:, 1]), psi.constraints[:, 3])
+    _, u, v, s = psi.constraints.T
+    one_sided = np.zeros((psi.n, psi.n))
+    np.add.at(one_sided, (u, v), s)
     return (one_sided + one_sided.T) / 2.0
-
-
-def _heavy_matrix(heavy: BipartiteInstance, touched: np.ndarray | None) -> np.ndarray:
-    """The heavy side's ``bipartite_matrix`` with a column per vertex (see ``_columns``)."""
-    left, right, s = heavy.constraints.T
-    size, cols = _columns(right, heavy.n_right, touched)
-    out = np.zeros((len(heavy.left_labels), size))
-    np.add.at(out, (left, cols), s)
-    return out
 
 
 def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for) -> dict:
@@ -165,22 +144,20 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for
     if inst.m == 0:
         raise ValueError("empty instance")
     eps = float(eps)
+    # psi's vertices are those its constraints name: the entries of a reduced
+    # k-XOR instance's subset dictionary, which the certificate records, or
+    # a p2xor instance's touched vertices, renumbered in ascending order.  A
+    # vertex in no constraint changes no assignment's value, so a declared n
+    # sizes no table and moves no bound.
     red = kxor_to_partitioned(inst) if isinstance(inst, KXorInstance) else None
-    psi = inst if red is None else red.psi
+    psi = on_touched_vertices(inst) if red is None else red.psi
     dec = decompose(psi, eps, config.c_split)
     m, m1, m2 = psi.m, dec.m_light, dec.m_heavy
     small = 0.5 * eps * m
     eps_half = 0.5 * eps
-
-    # the SDP matrices' vertices: a reduced k-XOR instance's are the entries
-    # of its subset dictionary, which the certificate records; a p2xor
-    # instance's are those its constraints touch.  An untouched vertex would
-    # only add a zero row or column, whose multiplier is 0 in every dual, so
-    # a declared n sizes no matrix.
-    touched = None if red is not None else np.unique(psi.constraints[:, 1:3])
     whole = None
     if psi.ell == 1:
-        mat = _whole_matrix(psi, touched)
+        mat = _whole_matrix(psi)
         whole = _sdp_report(mat, dual_for("whole", mat), eps, m)
         light = {"mode": "whole", "m": m1, "side_bound": float(m1), "report": None}
         heavy = {"mode": "whole", "m": m2, "side_bound": float(m2), "report": None}
@@ -196,7 +173,7 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for
         heavy = {"mode": _side_mode(m2, small, "sdp"), "m": m2, "side_bound": float(m2),
                  "report": None}
         if heavy["mode"] == "sdp":
-            mat = _heavy_matrix(dec.heavy, touched)
+            mat = bipartite_matrix(dec.heavy)
             report = _sdp_report(mat, dual_for("heavy", mat), eps_half, m2)
             heavy.update(side_bound=_side_bound(m2, report["val_upper"]), report=report)
         if m2 < small:

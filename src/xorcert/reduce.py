@@ -1,15 +1,19 @@
 """Reduction from k-XOR to partitioned 2-XOR, and heavy/light decomposition.
 
 The reduction splits each clause into two disjoint half-subsets indexed
-through a subset dictionary (identity when the halves are singletons); odd
-arities single out the minimum vertex as the part index.  Any assignment of
-the original instance extends to the reduced one with the same satisfied
-fraction, so reduced-value upper bounds transfer back.
+through a subset dictionary; odd arities single out the minimum vertex as
+the part index.  Any assignment of the original instance extends to the
+reduced one with the same satisfied fraction, so reduced-value upper bounds
+transfer back.  A reduced instance has a vertex for each subset its
+clauses name, and ``on_touched_vertices`` renumbers a partitioned instance
+onto the vertices its constraints touch, so no table is sized by a
+declared n.
 
 Both steps read and write read-only int64 arrays with one row per
-constraint or per subset: the dictionary lists its subsets in the order the
-clauses first use them, and the decomposition's ``provenance`` holds, per
-original constraint, its heavy group's index or -1 for a light constraint.
+constraint or per subset: the dictionary lists singletons in ascending
+order and larger subsets in the order the clauses first use them, and the
+decomposition's ``provenance`` holds, per original constraint, its heavy
+group's index or -1 for a light constraint.
 """
 from __future__ import annotations
 
@@ -69,10 +73,11 @@ def kxor_to_partitioned(inst: KXorInstance) -> ReducedKXor:
         ell, part, rest = 1, np.zeros(m, dtype=np.int64), inst.clauses
     else:  # clauses are sorted, so column 0 holds the min vertex
         ell, part, rest = inst.n, inst.clauses[:, 0], inst.clauses[:, 1:]
-    halves = rest.reshape(2 * m, half)  # each clause's two halves, in clause order
-    if half == 1:  # identity dictionary: subset {v} gets index v
-        subsets, ids = np.arange(inst.n).reshape(-1, 1), halves[:, 0]
+    if half == 1:  # the vertices the clauses name, ascending: subset {v} gets v's rank
+        named, inverse = np.unique(inst.clauses, return_inverse=True)
+        subsets, ids = named.reshape(-1, 1), inverse.reshape(m, k)[:, -2:]
     else:  # index the distinct halves in first-seen order
+        halves = rest.reshape(2 * m, half)  # each clause's two halves, in clause order
         unique, first, inverse = np.unique(halves, axis=0, return_index=True,
                                            return_inverse=True)
         seen = np.argsort(first)
@@ -81,6 +86,17 @@ def kxor_to_partitioned(inst: KXorInstance) -> ReducedKXor:
     rows = np.column_stack([part, np.minimum(a, b), np.maximum(a, b), inst.signs])
     psi = PartitionedInstance(n=len(subsets), ell=ell, constraints=rows)
     return ReducedKXor(psi=psi, dictionary=SubsetDictionary(subset_size=half, subsets=subsets))
+
+
+def on_touched_vertices(inst: PartitionedInstance) -> PartitionedInstance:
+    """inst with its vertices renumbered by rank among those its constraints touch.
+
+    Ranking keeps every pair's u < v and the order of the vertices, so the
+    renumbered instance decomposes into the same groups, in the same order.
+    """
+    touched, ids = np.unique(inst.constraints[:, 1:3], return_inverse=True)
+    rows = np.column_stack([inst.constraints[:, 0], ids.reshape(-1, 2), inst.constraints[:, 3]])
+    return PartitionedInstance(n=len(touched), ell=inst.ell, constraints=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +156,9 @@ def decompose(inst: PartitionedInstance, eps: float,
     picks the same groups, in the same order, as repeatedly stripping the
     smallest over-cap key until none is left.  The heavy side lists the
     groups in that order, each group's constraints in original order.  On
-    exit every group in the light side has size < d_cap.
+    exit every group in the light side has size < d_cap.  A key counts its
+    part by rank among the parts in use, so the keys stay below
+    parts * n, however large the part indices, and that must fit in int64.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -153,8 +171,11 @@ def decompose(inst: PartitionedInstance, eps: float,
     d_cap = math.ceil(cap)
     m, n = inst.m, inst.n
     part, u, v, s = inst.constraints.T
+    part_ids, rank = np.unique(part, return_inverse=True)
+    if len(part_ids) * n > 2 ** 63:
+        raise ValueError(f"{len(part_ids)} parts of {n} vertices overflow the int64 group keys")
     # constraint j is a member of groups (part, u) and (part, v): entries j and m + j
-    keys = np.concatenate([part * n + u, part * n + v])
+    keys = np.concatenate([rank * n + u, rank * n + v])
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     ends = np.append(starts[1:], 2 * m)
@@ -180,7 +201,8 @@ def decompose(inst: PartitionedInstance, eps: float,
     other = np.where(u[heavy] == label_keys[left] % n, v[heavy], u[heavy])
     return Decomposition(
         light=PartitionedInstance(n=n, ell=inst.ell, constraints=inst.constraints[provenance < 0]),
-        heavy=BipartiteInstance(left_labels=np.column_stack([label_keys // n, label_keys % n]),
+        heavy=BipartiteInstance(left_labels=np.column_stack([part_ids[label_keys // n],
+                                                             label_keys % n]),
                                 n_right=n, constraints=np.column_stack([left, other, s[heavy]])),
         d_cap=d_cap, provenance=provenance)
 

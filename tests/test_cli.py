@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import xorcert.cli
-from xorcert import (Certificate, KXorInstance, PartitionedInstance, RefuteConfig, load_instance,
-                     refute_partitioned, save_instance, verify_certificate_detailed)
+from xorcert import (Certificate, GenSpec, KXorInstance, PartitionedInstance, RefuteConfig,
+                     gen_kxor, load_instance, refute_kxor, refute_partitioned, save_instance,
+                     verify_certificate_detailed)
 from xorcert.cli import CSV_HEADER, main
 
 
@@ -385,3 +390,37 @@ def test_huge_declared_n_refutes_and_verifies(workdir, capsys, ell):
     assert run("verify", "--inst", path, "--cert", cert_path) == 0
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
+
+
+# Renames vertex 11 of a 3-XOR instance on n = 12 to 2^28 - 1, declares
+# n = 2^28, and refutes and verifies it through main under a 1.5 GiB
+# address-space limit, which any table of 2^28 int64 entries would exceed.
+_HUGE_KXOR = """
+import resource, sys
+import numpy as np
+from xorcert import GenSpec, KXorInstance, gen_kxor, save_instance
+from xorcert.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+small = gen_kxor(GenSpec("random", n=12, m=300, seed=3, k=3))
+clauses = np.where(small.clauses == 11, {huge} - 1, small.clauses)
+save_instance(KXorInstance(n={huge}, k=3, clauses=clauses, signs=small.signs), "inst.json")
+print(main(["--quiet", "refute", "--in", "inst.json", "--eps", "0.3", "-o", "cert.json"]),
+      main(["--quiet", "verify", "--inst", "inst.json", "--cert", "cert.json"]))
+"""
+
+
+def test_huge_declared_n_kxor_refutes_and_verifies(workdir):
+    # the subset dictionary lists the 12 named vertices and the degree
+    # profile the 9 parts in use, so the certificate bounds the value as
+    # for n = 12, although ell = n = 2^28
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_KXOR.format(huge=HUGE_N)], cwd=workdir,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "0"]
+    payload = Certificate.load(workdir / "cert.json").payload
+    assert payload["outcome"] == "REFUTED" and payload["light"]["mode"] == "spectral"
+    assert payload["certified_val_upper"] == 0.7072447542522973
+    small = refute_kxor(gen_kxor(GenSpec("random", n=12, m=300, seed=3, k=3)), 0.3)
+    assert payload["certified_val_upper"] == small.certified_val_upper

@@ -121,6 +121,38 @@ def test_combination_case_light_small():
     assert verify_certificate(cert, phi)
 
 
+def test_parts_far_apart_keep_their_own_groups():
+    # x = 1, y_0 = 1, y_far = -1 satisfies all 400 constraints, so no bound
+    # below 1 is sound; when groups were keyed by part * n + u, far * 4
+    # wrapped to 0 in int64, the two parts shared one cancelling heavy group,
+    # and the instance was refuted at 0.5 + 1e-12
+    far = 2 ** 62
+    rows = [[0, 0, 1, 1]] * 200 + [[far, 0, 1, -1]] * 200
+    inst = PartitionedInstance(n=4, ell=far + 1, constraints=rows)
+    near_rows = [[min(part, 1), u, v, s] for part, u, v, s in rows]  # far named 1
+    near = PartitionedInstance(n=4, ell=2, constraints=near_rows)
+    cert, want = refute_partitioned(inst, eps=0.3), refute_partitioned(near, eps=0.3)
+    assert cert.outcome == want.outcome == UNKNOWN
+    assert cert.certified_val_upper == want.certified_val_upper == 1.0
+    assert cert.payload["decomposition"] == want.payload["decomposition"]
+    assert cert.payload["decomposition"]["heavy_groups"] == 2
+    assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def test_padding_n_moves_no_p2xor_certificate():
+    # a vertex in no constraint sizes no table, so declaring more of them
+    # changes nothing but the instance digest
+    base = gen_random_partitioned(12, 2, 400, seed=1)
+    payloads = []
+    for n in (12, 60, 200):
+        inst = PartitionedInstance(n=n, ell=base.ell, constraints=base.constraints)
+        cert = refute_partitioned(inst, eps=0.3)
+        assert cert.outcome == REFUTED and cert.certified_val_upper == 0.6812557417454725
+        assert verify_certificate_detailed(cert, inst) == (True, [])
+        payloads.append({**cert.payload, "instance_digest": None})
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
 def test_combination_case_both_large(dense_kxor):
     inst, cert = dense_kxor
     assert cert.payload["combination_case"] == "both-large"

@@ -36,10 +36,12 @@ def test_reduce_k3_singles_out_min_vertex():
 
 
 def test_reduce_k2_is_identity_embedding():
+    # the dictionary lists the vertices the clauses name: vertex 2 is left out
     inst = KXorInstance(n=5, k=2, clauses=((0, 3), (1, 4)), signs=(-1, 1))
     red = kxor_to_partitioned(inst)
-    assert red.psi.ell == 1 and red.psi.n == 5
-    assert red.psi.constraints.tolist() == [[0, 0, 3, -1], [0, 1, 4, 1]]
+    assert red.dictionary.subsets.tolist() == [[0], [1], [3], [4]]
+    assert red.psi.ell == 1 and red.psi.n == 4
+    assert red.psi.constraints.tolist() == [[0, 0, 2, -1], [0, 1, 3, 1]]
 
 
 def test_reduce_k4_splits_into_pairs():
@@ -148,6 +150,23 @@ def test_decompose_validation():
         decompose(inst, eps=0.0)
     with pytest.raises(ValueError):
         decompose(inst, eps=0.2, c_split=-1.0)
+
+
+def test_decompose_rejects_keys_beyond_int64():
+    # 3 parts of 2^62 vertices need keys up to 3 * 2^62 - 1, past int64
+    wide = PartitionedInstance(n=2 ** 62, ell=3, constraints=[[i, 0, 1, 1] for i in range(3)])
+    with pytest.raises(ValueError, match="overflow"):
+        decompose(wide, eps=0.2)
+
+
+def test_decompose_labels_groups_by_part_index():
+    # keys count parts by rank, and the labels carry the parts' own indices
+    far = 2 ** 62
+    inst = PartitionedInstance(n=4, ell=far + 1, constraints=[[far, 1, 3, 1]] * 3 + [[0, 1, 2, 1]])
+    dec = decompose(inst, eps=0.5, c_split=0.75)  # d_cap 3
+    assert dec.heavy.left_labels.tolist() == [[far, 1]]
+    assert dec.heavy.constraints.tolist() == [[0, 3, 1]] * 3
+    assert dec.light.constraints.tolist() == [[0, 1, 2, 1]]
 
 
 def test_heavy_sub_instance_round_trip():

@@ -161,7 +161,7 @@ def test_whole_bound_ignores_a_gauge_and_vertex_order():
     # the ell = 1 twin of the test above, on light4's member: D A D for a
     # sign vector D, with the vertices permuted, has the same SDP value
     psi = kxor_to_partitioned(gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))).psi
-    a = _whole_matrix(psi, None)
+    a = _whole_matrix(psi)
     bound, _ = inf1_upper(a)
     for seed in range(4):
         gen = np.random.default_rng(200 + seed)
