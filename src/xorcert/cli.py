@@ -104,7 +104,7 @@ def cmd_reduce(args) -> int:
     red = kxor_to_partitioned(inst)
     save_instance(red.psi, args.out)
     dict_path = args.out + ".dict.json"
-    _write_json(dict_path, red.dictionary.to_json_dict())
+    Path(dict_path).write_bytes(red.dictionary.canonical_bytes())
     print(f"reduced k={inst.k} m={inst.m} -> ell={red.psi.ell} n={red.psi.n} "
           f"({args.out}, dictionary {dict_path})")
     return EXIT_OK

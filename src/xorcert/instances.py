@@ -262,8 +262,8 @@ def degree_profile(inst: PartitionedInstance) -> DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  On-disk instances use a single canonical JSON layout so that
-# digests are stable across save/load round trips.
+# Serialization.  An instance file holds the instance's canonical JSON bytes,
+# and its digest is the SHA-256 of those bytes.
 # ---------------------------------------------------------------------------
 
 def _json_parts(inst) -> tuple[dict, np.ndarray]:
@@ -306,7 +306,7 @@ def from_json_dict(data: dict):
 
 
 def canonical_json(data: dict) -> str:
-    """Deterministic compact JSON encoding used for hashing."""
+    """Deterministic compact JSON encoding: the bytes of instance files and digests."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -345,36 +345,33 @@ def _json_int_rows(rows: np.ndarray) -> bytes:
     return b"[" + np.compress(keep.ravel(), grid).tobytes() + b"]"
 
 
-def rows_digest(scalars: dict, key: str, rows: np.ndarray) -> str:
-    """SHA-256 hex digest of canonical_json({**scalars, key: rows.tolist()}).
+def canonical_bytes(scalars: dict, rows: np.ndarray, key: str = "constraints") -> bytes:
+    """canonical_json({**scalars, key: rows.tolist()}) in UTF-8, with no lists built.
 
     scalars holds only strings and integers.  The rows are encoded straight
     from the array, between the canonical text before and after them.
     """
     head, tail = canonical_json({**scalars, key: []}).split(f'"{key}":[]')
-    digest = hashlib.sha256(f'{head}"{key}":'.encode("utf-8"))
-    digest.update(_json_int_rows(rows))
-    digest.update(tail.encode("utf-8"))
-    return digest.hexdigest()
+    return f'{head}"{key}":'.encode("utf-8") + _json_int_rows(rows) + tail.encode("utf-8")
 
 
 def instance_digest(inst) -> str:
-    """SHA-256 hex digest of the canonical JSON encoding of an instance.
+    """SHA-256 hex digest of the file save_instance writes: the instance's canonical bytes.
 
     The hashed bytes are canonical_json(to_json_dict(inst)) in UTF-8: the
     keys sorted, separators (",", ":") with no whitespace, and the
     constraint rows as nested lists of integers, for example
     {"constraints":[[0,1,2,-1]],"k":3,"kind":"kxor","n":6}.  So anyone can
-    recompute it from an instance file with Python's json and hashlib alone:
+    recompute it with sha256sum from a file xorcert wrote, or from any
+    instance file with Python's json and hashlib alone:
     sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).
-    Here the rows are encoded from the int64 arrays, with no lists built.
     """
-    scalars, rows = _json_parts(inst)
-    return rows_digest(scalars, "constraints", rows)
+    return hashlib.sha256(canonical_bytes(*_json_parts(inst))).hexdigest()
 
 
 def save_instance(inst, path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(inst), indent=2) + "\n")
+    """Write the canonical bytes that instance_digest hashes, with no trailing newline."""
+    Path(path).write_bytes(canonical_bytes(*_json_parts(inst)))
 
 
 def load_instance(path):

@@ -146,9 +146,9 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for
     eps = float(eps)
     # psi's vertices are those its constraints name: the entries of a reduced
     # k-XOR instance's subset dictionary, which the certificate records, or
-    # a p2xor instance's touched vertices, renumbered in ascending order.  A
-    # vertex in no constraint changes no assignment's value, so a declared n
-    # sizes no table and moves no bound.
+    # a p2xor instance's touched vertices and parts, renumbered in ascending
+    # order.  A vertex or part in no constraint changes no assignment's
+    # value, so a declared n or ell sizes no table and moves no bound.
     red = kxor_to_partitioned(inst) if isinstance(inst, KXorInstance) else None
     psi = on_touched_vertices(inst) if red is None else red.psi
     dec = decompose(psi, eps, config.c_split)

@@ -6,8 +6,8 @@ the part index.  Any assignment of the original instance extends to the
 reduced one with the same satisfied fraction, so reduced-value upper bounds
 transfer back.  A reduced instance has a vertex for each subset its
 clauses name, and ``on_touched_vertices`` renumbers a partitioned instance
-onto the vertices its constraints touch, so no table is sized by a
-declared n.
+onto the parts and vertices its constraints name, so no table is sized by
+a declared n and ell counts the parts in use.
 
 Both steps read and write read-only int64 arrays with one row per
 constraint or per subset: the dictionary lists singletons in ascending
@@ -17,14 +17,15 @@ group's index or -1 for a light constraint.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .instances import (KXorInstance, PartitionedInstance, ValueEq, int_rows, reject_rows,
-                        rows_digest)
+from .instances import (KXorInstance, PartitionedInstance, ValueEq, canonical_bytes, int_rows,
+                        reject_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +48,13 @@ class SubsetDictionary(ValueEq):
             raise ValueError("duplicate subset")
         object.__setattr__(self, "subsets", subsets)
 
-    def to_json_dict(self) -> dict:
-        return {"subset_size": self.subset_size, "subsets": self.subsets.tolist()}
+    def canonical_bytes(self) -> bytes:
+        """{"subset_size": s, "subsets": rows} as canonical JSON: the reduce sidecar's bytes."""
+        return canonical_bytes({"subset_size": self.subset_size}, self.subsets, "subsets")
 
     def digest(self) -> str:
-        """SHA-256 hex digest of canonical_json(self.to_json_dict())."""
-        return rows_digest({"subset_size": self.subset_size}, "subsets", self.subsets)
+        """SHA-256 hex digest of canonical_bytes()."""
+        return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,15 @@ def kxor_to_partitioned(inst: KXorInstance) -> ReducedKXor:
 
 
 def on_touched_vertices(inst: PartitionedInstance) -> PartitionedInstance:
-    """inst with its vertices renumbered by rank among those its constraints touch.
+    """inst with its parts and vertices renumbered by rank among those its constraints name.
 
-    Ranking keeps every pair's u < v and the order of the vertices, so the
-    renumbered instance decomposes into the same groups, in the same order.
+    Ranking keeps every pair's u < v and the order of parts and vertices, so
+    the result, whose ell counts the parts in use, has the same groups.
     """
+    parts, part = np.unique(inst.constraints[:, 0], return_inverse=True)
     touched, ids = np.unique(inst.constraints[:, 1:3], return_inverse=True)
-    rows = np.column_stack([inst.constraints[:, 0], ids.reshape(-1, 2), inst.constraints[:, 3]])
-    return PartitionedInstance(n=len(touched), ell=inst.ell, constraints=rows)
+    rows = np.column_stack([part, ids.reshape(-1, 2), inst.constraints[:, 3]])
+    return PartitionedInstance(n=len(touched), ell=len(parts), constraints=rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,21 +43,27 @@ def test_generate_reduce_decompose_refute_verify_round_trip(workdir):
     assert data["d_cap"] == 64
 
     assert run("refute", "--in", phi, "--eps", 0.25, "-o", cert) == 0
-    assert Certificate.load(cert).outcome == "REFUTED"
+    payload = Certificate.load(cert).payload
+    assert payload["outcome"] == "REFUTED"
+    # each digest is the SHA-256 of the file xorcert wrote for that artifact
+    assert (_sha(phi), _sha(psi), _sha(workdir / "psi.json.dict.json")) == (
+        payload["instance_digest"], payload["reduction"]["psi_digest"],
+        payload["reduction"]["dictionary_digest"])
 
     assert run("verify", "--inst", phi, "--cert", cert) == 0
     assert run("verify", "--inst", phi, "--cert", cert, "--brute") == 0
 
 
-# SHA-256 of the files `reduce` and `decompose` write for seeded draws,
-# recorded with numpy 2.4.6.  The subset dictionary keeps first-seen order and
-# decompose keeps constraint order, so a change to how either is computed must
-# keep these bytes.
+# SHA-256 of the files `reduce` writes for seeded draws, recorded with numpy
+# 2.4.6.  Each file holds its artifact's canonical bytes, so each pin is also
+# the digest a certificate records for it (`psi_digest`, `dictionary_digest`).
+# The subset dictionary keeps first-seen order, so a change to how it is
+# computed must keep these bytes.
 REDUCE_SHA = {  # k: (reduced instance, dictionary sidecar)
-    4: ("0a50870c9512a9f9fac27df732a827e3e958def72ff59964983578f2708be870",
-        "a0cd65f05029144a52a17928760307ba1fe3fba8d4931f7307ddd1fcd5b72339"),
-    6: ("86589cdd97683c337d1ebeb29956fed5c8c81c9d78d733a85f5a24706477785c",
-        "e6a6e7ba7371435400cff15f18ebfdba289ff76dd17c0eabede550079a0cba28"),
+    4: ("139483d2a00db0e635dab8c65ca6897867e4ab82cbbb854d537f95c1f7da2fb8",
+        "35e2b196d10f66cb373d5eb31c65febb1fbe717bd3ce9c1017df731d9368766b"),
+    6: ("7d4a4f66474e53a7483c39b1c2baa9d8853cb83640fa54e9b8fe5c9c8e172c37",
+        "47970973e26a74d87fd9b3d3cc32874e095a7f9085fff907e79b1528bfe25a3b"),
 }
 
 
@@ -367,15 +373,16 @@ HUGE_N = 2 ** 28
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_huge_declared_n_refutes_and_verifies(workdir, capsys, ell):
-    # two cancelling constraints on vertices 0 and 2^28 - 1: sized by the
-    # declared n, A would take 512 PiB and the heavy side 2 GiB; at eps 0.4,
-    # c_split 0.25 gives d_cap 2, so for ell = 2 both constraints go heavy
-    inst = PartitionedInstance(n=HUGE_N, ell=ell, constraints=(
-        (0, 0, HUGE_N - 1, 1), (0, 0, HUGE_N - 1, -1)))
+    # a cancelling pair on vertices 0 and 2^28 - 1 in each of the ell parts:
+    # sized by the declared n, A would take 512 PiB and the heavy side 2 GiB;
+    # at eps 0.4, c_split 0.25 gives d_cap 2, so for ell = 2 all four
+    # constraints go heavy, in two groups
+    inst = PartitionedInstance(n=HUGE_N, ell=ell, constraints=[
+        (part, 0, HUGE_N - 1, s) for part in range(ell) for s in (1, -1)])
     config = RefuteConfig(c_split=0.25)
     cert = refute_partitioned(inst, 0.4, config)
     report = cert.payload["whole"] if ell == 1 else cert.payload["heavy"]["report"]
-    assert (report["rows"], report["cols"]) == ((2, 2) if ell == 1 else (1, 2))
+    assert (report["rows"], report["cols"]) == (2, 2)
     assert cert.outcome == "REFUTED"
     assert verify_certificate_detailed(cert, inst) == (True, [])
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import json_digest
 from xorcert import (Assignment, KXorInstance, PartitionedInstance, SubsetDictionary,
-                     bias, degree_profile, eval_kxor, eval_partitioned,
-                     from_json_dict, instance_digest, load_instance,
-                     save_instance, to_json_dict)
+                     bias, canonical_json, degree_profile, eval_kxor, eval_partitioned,
+                     from_json_dict, instance_digest, load_instance, refute_kxor,
+                     refute_partitioned, save_instance, to_json_dict,
+                     verify_certificate_detailed)
 from xorcert.instances import _json_int_rows
 
 
@@ -187,7 +189,7 @@ def test_encoder_reads_non_contiguous_and_int32_input(rows, view):
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_digest_matches_json_reference(data):
+def test_digest_matches_json_reference(tmp_path_factory, data):
     n = data.draw(st.integers(4, 30))
     m = data.draw(st.integers(0, 30))
     k = data.draw(st.integers(2, 4))
@@ -203,7 +205,21 @@ def test_digest_matches_json_reference(data):
             for _ in range(m)]
     px = PartitionedInstance(n=n, ell=ell, constraints=rows)
     for inst in (kx, px):
-        assert instance_digest(inst) == json_digest(to_json_dict(inst))
+        digest = instance_digest(inst)
+        assert digest == json_digest(to_json_dict(inst))
+        # the file save_instance writes is the hashed bytes, and it loads back
+        path = tmp_path_factory.mktemp("digest") / "inst.json"
+        save_instance(inst, path)
+        assert path.read_bytes() == canonical_json(to_json_dict(inst)).encode()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert load_instance(path) == inst
+        # an indented file, the layout of earlier versions, loads to the same instance
+        path.write_text(json.dumps(to_json_dict(inst), indent=2) + "\n")
+        loaded = load_instance(path)
+        assert loaded == inst and instance_digest(loaded) == digest
+        if inst.m:
+            cert = (refute_kxor if inst is kx else refute_partitioned)(inst, 0.3)
+            assert verify_certificate_detailed(cert, loaded) == (True, [])
 
 
 def test_from_json_rejects_unknown_kind():

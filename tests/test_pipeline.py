@@ -140,8 +140,8 @@ def test_parts_far_apart_keep_their_own_groups():
 
 
 def test_padding_n_moves_no_p2xor_certificate():
-    # a vertex in no constraint sizes no table, so declaring more of them
-    # changes nothing but the instance digest
+    # a vertex or a part in no constraint sizes no table, so declaring more
+    # of them changes nothing but the instance digest
     base = gen_random_partitioned(12, 2, 400, seed=1)
     payloads = []
     for n in (12, 60, 200):
@@ -151,6 +151,19 @@ def test_padding_n_moves_no_p2xor_certificate():
         assert verify_certificate_detailed(cert, inst) == (True, [])
         payloads.append({**cert.payload, "instance_digest": None})
     assert payloads[0] == payloads[1] == payloads[2]
+    # one part in use is plain 2-XOR ("whole"), whatever ell is declared and
+    # whichever part holds the constraints
+    one = gen_random_partitioned(12, 1, 400, seed=1)
+    payloads = []
+    for ell, part in ((1, 0), (2, 0), (2, 1), (7, 5)):
+        rows = np.column_stack([np.full(one.m, part), one.constraints[:, 1:]])
+        inst = PartitionedInstance(n=12, ell=ell, constraints=rows)
+        cert = refute_partitioned(inst, eps=0.1)
+        assert cert.outcome == REFUTED and cert.payload["combination_case"] == "whole"
+        assert cert.certified_val_upper == 0.5889609467993485
+        assert verify_certificate_detailed(cert, inst) == (True, [])
+        payloads.append({**cert.payload, "instance_digest": None})
+    assert all(payload == payloads[0] for payload in payloads)
 
 
 def test_combination_case_both_large(dense_kxor):

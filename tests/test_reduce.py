@@ -18,6 +18,7 @@ from xorcert import (
     SubsetDictionary,
     bipartite_matrix,
     brute_force_val,
+    canonical_json,
     decompose,
     gen_kxor,
     gen_random_partitioned,
@@ -72,7 +73,9 @@ def test_reduce_never_loses_value(k, seed):
 def test_dictionary_digest_matches_json_reference(k):
     dictionary = kxor_to_partitioned(
         gen_kxor(GenSpec(kind="random", n=12, m=300, seed=k, k=k))).dictionary
-    assert dictionary.digest() == json_digest(dictionary.to_json_dict())
+    data = {"subset_size": dictionary.subset_size, "subsets": dictionary.subsets.tolist()}
+    assert dictionary.canonical_bytes() == canonical_json(data).encode()
+    assert dictionary.digest() == json_digest(data)
 
 
 def test_subset_dictionary_validation():
