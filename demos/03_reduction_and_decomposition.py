@@ -11,7 +11,8 @@ from xorcert import (
 
 # Odd k: the first (smallest) vertex of each clause becomes the part, the rest
 # splits in half into two subset-variables.  For k = 3 the halves are single
-# vertices, so the dictionary is the identity and no new variables appear.
+# vertices, so the dictionary lists the vertices that some half names, in
+# ascending order, and no new variables appear; vertex 0 is only ever a part.
 phi = gen_kxor(GenSpec(kind="random", n=8, m=60, seed=0, k=3))
 red = kxor_to_partitioned(phi)
 print("k=3:", phi.n, "vars ->", red.psi.n, "pair-vars,", red.psi.ell, "parts,",

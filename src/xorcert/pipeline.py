@@ -144,11 +144,12 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for
     if inst.m == 0:
         raise ValueError("empty instance")
     eps = float(eps)
-    # psi's vertices are those its constraints name: the entries of a reduced
-    # k-XOR instance's subset dictionary, which the certificate records, or
-    # a p2xor instance's touched vertices and parts, renumbered in ascending
-    # order.  A vertex or part in no constraint changes no assignment's
-    # value, so a declared n or ell sizes no table and moves no bound.
+    # psi and its light side each have a vertex for what their own constraints
+    # name, in ascending order: psi's are a reduced k-XOR instance's subset
+    # dictionary, which the certificate records, or a p2xor instance's touched
+    # vertices (and parts).  A vertex or part in no constraint changes no
+    # value, so it sizes no table and loosens no bound: the light potential's
+    # bound counts |S_j| pairs of the side's vertices.
     red = kxor_to_partitioned(inst) if isinstance(inst, KXorInstance) else None
     psi = on_touched_vertices(inst) if red is None else red.psi
     dec = decompose(psi, eps, config.c_split)
@@ -163,11 +164,12 @@ def _build_payload(inst, digest: str, eps: float, config: RefuteConfig, dual_for
         heavy = {"mode": "whole", "m": m2, "side_bound": float(m2), "report": None}
         case, certified = "whole", whole["val_upper"]
     else:
-        active = "spectral" if side_fits(dec.light.n) else "trivial"
+        side = on_touched_vertices(dec.light) if m1 > 0 else dec.light
+        active = "spectral" if side_fits(side.n) else "trivial"
         light = {"mode": _side_mode(m1, small, active), "m": m1, "side_bound": float(m1),
                  "report": None}
         if light["mode"] == "spectral":
-            report = certify_dbounded(dec.light, eps_half, config,
+            report = certify_dbounded(side, eps_half, config,
                                       d_bound=dec.d_cap).to_json_dict()
             light.update(side_bound=_side_bound(m1, report["val_upper"]), report=report)
         heavy = {"mode": _side_mode(m2, small, "sdp"), "m": m2, "side_bound": float(m2),

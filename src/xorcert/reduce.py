@@ -4,16 +4,17 @@ The reduction splits each clause into two disjoint half-subsets indexed
 through a subset dictionary; odd arities single out the minimum vertex as
 the part index.  Any assignment of the original instance extends to the
 reduced one with the same satisfied fraction, so reduced-value upper bounds
-transfer back.  A reduced instance has a vertex for each subset its
-clauses name, and ``on_touched_vertices`` renumbers a partitioned instance
-onto the parts and vertices its constraints name, so no table is sized by
-a declared n and ell counts the parts in use.
+transfer back.  Every partitioned instance the pipeline certifies has a
+vertex for each vertex or half-subset its own constraints name, in
+ascending order: a reduced instance one for each half its clauses name,
+and ``on_touched_vertices`` renumbers a partitioned instance onto the
+parts and vertices its constraints name.  So no table is sized by a
+declared n, ell counts the parts in use, and clause order moves no vertex.
 
 Both steps read and write read-only int64 arrays with one row per
-constraint or per subset: the dictionary lists singletons in ascending
-order and larger subsets in the order the clauses first use them, and the
-decomposition's ``provenance`` holds, per original constraint, its heavy
-group's index or -1 for a light constraint.
+constraint or per subset: the dictionary lists the distinct halves in
+ascending order, and the decomposition's ``provenance`` holds, per
+original constraint, its heavy group's index or -1 for a light constraint.
 """
 from __future__ import annotations
 
@@ -72,20 +73,17 @@ def kxor_to_partitioned(inst: KXorInstance) -> ReducedKXor:
     m, k = inst.m, inst.k
     half = k // 2
     if k % 2 == 0:
-        ell, part, rest = 1, np.zeros(m, dtype=np.int64), inst.clauses
+        ell, part = 1, np.zeros(m, dtype=np.int64)
     else:  # clauses are sorted, so column 0 holds the min vertex
-        ell, part, rest = inst.n, inst.clauses[:, 0], inst.clauses[:, 1:]
-    if half == 1:  # the vertices the clauses name, ascending: subset {v} gets v's rank
-        named, inverse = np.unique(inst.clauses, return_inverse=True)
-        subsets, ids = named.reshape(-1, 1), inverse.reshape(m, k)[:, -2:]
-    else:  # index the distinct halves in first-seen order
-        halves = rest.reshape(2 * m, half)  # each clause's two halves, in clause order
-        unique, first, inverse = np.unique(halves, axis=0, return_index=True,
-                                           return_inverse=True)
-        seen = np.argsort(first)
-        subsets, ids = unique[seen], np.argsort(seen)[inverse.reshape(-1)]
-    a, b = ids.reshape(m, 2).T
-    rows = np.column_stack([part, np.minimum(a, b), np.maximum(a, b), inst.signs])
+        ell, part = inst.n, inst.clauses[:, 0]
+    halves = inst.clauses[:, k % 2:].reshape(2 * m, half)  # each clause's two halves
+    if half == 1:  # a 1-D unique is far faster than one along axis 0
+        named, ids = np.unique(halves, return_inverse=True)
+        subsets = named.reshape(-1, 1)
+    else:
+        subsets, ids = np.unique(halves, axis=0, return_inverse=True)
+    # a sorted clause's first half precedes its second, so the pair is (u, v) with u < v
+    rows = np.column_stack([part, ids.reshape(m, 2), inst.signs])
     psi = PartitionedInstance(n=len(subsets), ell=ell, constraints=rows)
     return ReducedKXor(psi=psi, dictionary=SubsetDictionary(subset_size=half, subsets=subsets))
 

@@ -57,13 +57,13 @@ def test_generate_reduce_decompose_refute_verify_round_trip(workdir):
 # SHA-256 of the files `reduce` writes for seeded draws, recorded with numpy
 # 2.4.6.  Each file holds its artifact's canonical bytes, so each pin is also
 # the digest a certificate records for it (`psi_digest`, `dictionary_digest`).
-# The subset dictionary keeps first-seen order, so a change to how it is
-# computed must keep these bytes.
+# The subset dictionary lists the halves in ascending order, so a change to
+# how it is computed must keep these bytes.
 REDUCE_SHA = {  # k: (reduced instance, dictionary sidecar)
-    4: ("139483d2a00db0e635dab8c65ca6897867e4ab82cbbb854d537f95c1f7da2fb8",
-        "35e2b196d10f66cb373d5eb31c65febb1fbe717bd3ce9c1017df731d9368766b"),
-    6: ("7d4a4f66474e53a7483c39b1c2baa9d8853cb83640fa54e9b8fe5c9c8e172c37",
-        "47970973e26a74d87fd9b3d3cc32874e095a7f9085fff907e79b1528bfe25a3b"),
+    4: ("4238ea421df0886e497b2e02cab64189a36a39487d0af003bb1e9c4fd33bd672",
+        "f7438d47dda951dd3dc411c4a7e6cbaecec3b78bdc25917817bedd0d115dad6b"),
+    6: ("2e3375a628c4a18df8819e1f2fd0929486663866fce7478394ff2d7ab3757a0b",
+        "533f0e7b2247d8f7678811936b2561698427e9ed10f97ec62e59481079ea28fe"),
 }
 
 
@@ -73,7 +73,7 @@ def _sha(path) -> str:
 
 @pytest.mark.parametrize("k", sorted(REDUCE_SHA))
 def test_reduce_outputs_are_pinned(workdir, k):
-    # half-subsets of size 2 and 3, each seen first at a different clause
+    # half-subsets of size 2 and 3
     phi = workdir / "phi.json"
     psi = workdir / "psi.json"
     assert run("generate", "--kind", "random", "--n", 10, "--m", 300,
@@ -417,9 +417,9 @@ print(main(["--quiet", "refute", "--in", "inst.json", "--eps", "0.3", "-o", "cer
 
 
 def test_huge_declared_n_kxor_refutes_and_verifies(workdir):
-    # the subset dictionary lists the 12 named vertices and the degree
-    # profile the 9 parts in use, so the certificate bounds the value as
-    # for n = 12, although ell = n = 2^28
+    # the subset dictionary lists the 11 vertices named outside the part
+    # column and the degree profile the 9 parts in use, so the certificate
+    # bounds the value as for n = 12, although ell = n = 2^28
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _HUGE_KXOR.format(huge=HUGE_N)], cwd=workdir,
@@ -428,6 +428,6 @@ def test_huge_declared_n_kxor_refutes_and_verifies(workdir):
     assert proc.stdout.split()[-2:] == ["0", "0"]
     payload = Certificate.load(workdir / "cert.json").payload
     assert payload["outcome"] == "REFUTED" and payload["light"]["mode"] == "spectral"
-    assert payload["certified_val_upper"] == 0.7072447542522973
+    assert payload["certified_val_upper"] == 0.6926839420329572
     small = refute_kxor(gen_kxor(GenSpec("random", n=12, m=300, seed=3, k=3)), 0.3)
     assert payload["certified_val_upper"] == small.certified_val_upper

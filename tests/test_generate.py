@@ -85,8 +85,8 @@ KXOR_DIGESTS = {
     ("clustered", 4): "b71634bc16b3d462926aba6f0d479fb764a625bf92106434b7eaf1c3c4071661",
 }
 PSI_DIGESTS = {
-    3: "59e6444c424d480c3f874d2d16bfb961c24dc4c37de5f63cacd7108e121750b2",
-    4: "b66158c9c6dfbd4d7d83778577943b6e252d61d2546f22697f7772a9faffb4aa",
+    3: "53b7c09588b1b0963ac67b8a2dc76ac5a94191241c07f072f6a5311b2086db86",
+    4: "31f39380dd6fb7efa18e61f6ab68f85a2ab1aa7ac64b44282cf7df5fd1da7b56",
 }
 
 
@@ -110,8 +110,8 @@ def test_reduced_digest_is_pinned(k):
 
 # reduction.dictionary_digest of the same draws, recorded with numpy 2.4.6
 DICTIONARY_DIGESTS = {
-    3: "aa8a77f533d037271dd01d62e2f7e4e1eac7995e2c6aee73be8593fc2dd2fbb2",
-    4: "dece6f302741d0430ba91783a2b8e23e37ea8fd3033595086ce09929cee55400",
+    3: "df7ca5ea18771748b538bb18d07b37ba5c6115462dd4ed2eaa426305759db687",
+    4: "87af6c23bf6d73bc5dbc87aef404c092906072647d52715126d02c5cc6cf9714",
 }
 
 

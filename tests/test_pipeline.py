@@ -32,6 +32,7 @@ from xorcert import (
     verify_certificate,
     verify_certificate_detailed,
 )
+from xorcert.reduce import decompose, kxor_to_partitioned
 from xorcert.spectral import assemble_phi_bound, block_contribution
 
 
@@ -164,6 +165,36 @@ def test_padding_n_moves_no_p2xor_certificate():
         assert verify_certificate_detailed(cert, inst) == (True, [])
         payloads.append({**cert.payload, "instance_digest": None})
     assert all(payload == payloads[0] for payload in payloads)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_clause_order_moves_no_certificate(k):
+    # psi's vertices are the halves the clauses name, in ascending order, so
+    # permuting the clauses moves no vertex: only the two instance digests change
+    inst = gen_kxor(GenSpec(kind="random", n=12, m=400, seed=1, k=k))
+    order = np.random.default_rng(k).permutation(inst.m)
+    shuffled = KXorInstance(n=inst.n, k=k, clauses=inst.clauses[order], signs=inst.signs[order])
+    payloads = []
+    for each in (inst, shuffled):
+        cert = refute_kxor(each, eps=0.3)
+        assert verify_certificate_detailed(cert, each) == (True, [])
+        payload = copy.deepcopy(cert.payload)
+        payload["instance_digest"] = payload["reduction"]["psi_digest"] = None
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+def test_each_side_is_numbered_by_what_it_names():
+    # a 3-XOR dictionary lists the non-min clause vertices: vertex 0 is only a part
+    inst = gen_kxor(GenSpec(kind="random", n=12, m=200, seed=5, k=3))
+    subsets = kxor_to_partitioned(inst).dictionary.subsets
+    assert subsets.ravel().tolist() == np.unique(inst.clauses[:, 1:]).tolist()
+    # the light side has a vertex for each vertex its own constraints touch
+    inst = gen_random_partitioned(12, 4, 2000, seed=0)
+    light = decompose(inst, 0.3).light
+    cert = refute_partitioned(inst, eps=0.3)
+    assert cert.payload["light"]["report"]["n"] == len(np.unique(light.constraints[:, 1:3])) == 8
+    assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_combination_case_both_large(dense_kxor):
@@ -524,21 +555,21 @@ def test_light_side_below_the_dense_cap_runs_no_power_iteration(monkeypatch):
 
 
 def test_light_block_above_the_old_cap_is_certified_dense(monkeypatch):
-    # one class of 40^2 = 1600 ordered pairs, past the old 1024-row cap;
-    # folded onto 820 unordered pairs it fits under the dense cap and is
+    # one class of 39^2 = 1521 ordered pairs, past the old 1024-row cap;
+    # folded onto 780 unordered pairs it fits under the dense cap and is
     # certified by the dense eigen proposal and the Cholesky checks
     inst = gen_kxor(GenSpec(kind="random", n=40, m=4000, seed=1, k=3))
     methods = _norm_methods(monkeypatch)
     cert = refute_kxor(inst, eps=0.3)
     assert cert.outcome == REFUTED and cert.certified_val_upper <= 0.65651
     (block,) = cert.payload["light"]["report"]["blocks"]
-    assert block["size_j"] == 1600 and methods == ["dense-cholesky"]
+    assert block["size_j"] == 1521 and methods == ["dense-cholesky"]
     assert verify_certificate_detailed(cert, inst) == (True, [])
 
 
 def test_light_side_above_the_cap_is_bounded_by_its_size(monkeypatch):
     # a side with more unordered pairs than the cap is never built
-    monkeypatch.setattr(xorcert.spectral, "_DENSE_CAP", 200)  # below 20 * 21 / 2
+    monkeypatch.setattr(xorcert.spectral, "_DENSE_CAP", 189)  # below 19 * 20 / 2
     inst = gen_kxor(GenSpec(kind="random", n=20, m=1200, seed=1, k=3))
     cert = refute_kxor(inst, eps=0.3)
     light = cert.payload["light"]

@@ -29,11 +29,11 @@ from xorcert import (
 def test_reduce_k3_singles_out_min_vertex():
     inst = KXorInstance(n=4, k=3, clauses=((0, 1, 2), (1, 2, 3)), signs=(1, -1))
     red = kxor_to_partitioned(inst)
-    assert red.psi.ell == 4 and red.psi.n == 4
-    assert red.psi.constraints.tolist() == [[0, 1, 2, 1], [1, 2, 3, -1]]
-    # identity dictionary on singletons
+    assert red.psi.ell == 4 and red.psi.n == 3
+    assert red.psi.constraints.tolist() == [[0, 0, 1, 1], [1, 1, 2, -1]]
+    # singletons of the non-min vertices: vertex 0 is only ever a part
     assert red.dictionary.subset_size == 1
-    assert red.dictionary.subsets[2].tolist() == [2]
+    assert red.dictionary.subsets[1].tolist() == [2]
 
 
 def test_reduce_k2_is_identity_embedding():
@@ -49,7 +49,7 @@ def test_reduce_k4_splits_into_pairs():
     inst = KXorInstance(n=6, k=4, clauses=((0, 1, 2, 3), (0, 1, 4, 5)), signs=(1, 1))
     red = kxor_to_partitioned(inst)
     assert red.psi.ell == 1
-    # halves registered in first-seen order; {0,1} shared by both clauses
+    # halves listed in ascending order; {0,1} shared by both clauses
     assert red.dictionary.subsets.tolist() == [[0, 1], [2, 3], [4, 5]]
     assert red.psi.constraints.tolist() == [[0, 0, 1, 1], [0, 0, 2, 1]]
     assert red.psi.n == 3
