@@ -10,16 +10,20 @@ vertex pairs: with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i),
 
     Phi_1(x) = (1/4) (x@x)^T M (x@x) + (Q - Phi_2),
 
-an exact identity (entries of M pair distinct constraint pairs only; the
-diagonal exclusion is on unordered pairs).  Weight classes split M into
+an exact identity: an entry of M pairs two distinct edges e != f of one
+part, each in either orientation, and the e = f terms, which Q accounts
+for, reach entries that no e != f term does.  Weight classes split M into
 blocks by butterfly degree, and each block norm is certified separately.
 x@x is swap-symmetric, so every block is built folded onto unordered pairs
-(``_accumulate_blocks``), as a dense array of at most n(n+1)/2 rows, and
-bounded by ``linalg.spectral_norm``: one ``eigvalsh`` of the block, or of
-its dilation when it is off the diagonal, proposes the norm, and the
-Cholesky check on u W -+ C certifies it, with W the number of ordered pairs
-behind each row.  A side with more than ``_DENSE_CAP`` unordered pairs is
-not built; the pipeline bounds it by its size.
+(``_accumulate_blocks``), as a dense array of at most n(n+1)/2 rows: both
+orders of e and f fold onto one entry, and reversing both orientations
+transposes it, so a part with s edges adds s (s - 1) terms to the upper
+triangle, the diagonal stays 0, and the lower triangle is its mirror.
+Each block is bounded by ``linalg.spectral_norm``: one ``eigvalsh`` of the
+block, or of its dilation when it is off the diagonal, proposes the norm,
+and the Cholesky check on u W -+ C certifies it, with W the number of
+ordered pairs behind each row.  A side with more than ``_DENSE_CAP``
+unordered pairs is not built; the pipeline bounds it by its size.
 
 Every table is an array built from the instance's constraint rows: mu as
 rows (part, u, v, mu) sorted by part, u and v (``mu_rows``), the degree
@@ -136,36 +140,12 @@ class Block:
         return int(np.count_nonzero(self.mat))
 
 
+_MIRROR_STRIP = 256  # rows of C mirrored at a time, so a temporary is at most 256 x 256
+
+
 def side_fits(n: int) -> bool:
     """Whether a light side on n vertices has at most ``_DENSE_CAP`` unordered pairs."""
     return n * (n + 1) // 2 <= _DENSE_CAP
-
-
-def _pair_terms(profile: DegreeProfile, mu: np.ndarray):
-    """Each part's e != f terms of M in part order, as (s_i, row pairs, column pairs, products).
-
-    mu holds the rows (part, u, v, mu), sorted by part.  Every ordered pair
-    of distinct edges e, f of part i, each taken in both orientations
-    (p1, q1) and (p2, q2), adds mu_i(e) mu_i(f) s_i, with s_i = 1/sqrt(t_i),
-    at row pair p1 n + p2 and column pair q1 n + q2, a position that no
-    other term of the part reaches.  A part yields its 4 t_i (t_i - 1)
-    terms at once, with the integer products mu_i(e) mu_i(f) unscaled;
-    parts with fewer than two edges have none.  The e = f terms sit at
-    pairs (u, u) x (v, v) and (u, v) x (v, u), which no e != f term
-    reaches, so leaving them out leaves those entries 0.
-    """
-    n = profile.n
-    lo = np.searchsorted(mu[:, 0], profile.part_ids, side="left").tolist()
-    hi = np.searchsorted(mu[:, 0], profile.part_ids, side="right").tolist()
-    for t, a, b in zip(profile.t.tolist(), lo, hi):
-        if b - a < 2:
-            continue
-        _, eu, ev, ew = mu[a:b].T
-        edge = np.arange(2 * (b - a)) % (b - a)  # the edge of each orientation
-        distinct = edge[:, None] != edge[None, :]
-        p, q, w = np.concatenate([eu, ev]), np.concatenate([ev, eu]), np.concatenate([ew, ew])
-        yield (1.0 / math.sqrt(t), np.add.outer(p * n, p)[distinct],
-               np.add.outer(q * n, q)[distinct], np.multiply.outer(w, w)[distinct])
 
 
 def _accumulate_blocks(profile: DegreeProfile, mu: np.ndarray,
@@ -176,12 +156,30 @@ def _accumulate_blocks(profile: DegreeProfile, mu: np.ndarray,
     swap-closed (gamma is exactly symmetric) and x (x) x is swap-symmetric,
     so (x (x) x)^T M (x (x) x) = z^T C z with z_{uv} = x_u x_v over the
     N = n(n+1)/2 unordered pairs and C = F M F^T, where F sums the ordered
-    pairs behind each unordered one.  Each part's terms are summed per
-    position of C as integers, then scaled by s_i once and added in part
-    order, with elementwise operations only: no BLAS call, whose bytes
-    would follow the thread count, and C comes out exactly symmetric.
-    Each block is cut from C with its all-zero rows and columns dropped,
-    so its rows and columns are the pairs where it has an entry.
+    pairs behind each unordered one.
+
+    mu holds the rows (part, u, v, mu), sorted by part, with u < v.  Every
+    ordered pair of distinct edges e, f of part i, each taken in both
+    orientations (p1, q1) and (p2, q2), adds mu_i(e) mu_i(f) s_i to M, with
+    s_i = 1/sqrt(t_i), at row pair p1 n + p2 and column pair q1 n + q2.  The
+    e = f terms sit at pairs (u, u) x (v, v) and (u, v) x (v, u), which no
+    e != f term reaches, so leaving them out leaves those entries 0.
+
+    Two symmetries fold the 4 s (s - 1) terms of a part with s edges onto
+    s (s - 1).  The orders (e, f) and (f, e) land on one entry of C, so each
+    pair e < f is taken once, at weight 2 mu_i(e) mu_i(f).  Reversing both
+    orientations transposes the entry, so only the pairings FF (row
+    {u_e, u_f}, column {v_e, v_f}) and FR (row {u_e, v_f}, column
+    {v_e, u_f}) are taken, each keyed on the upper triangle.  A diagonal
+    entry would need {p1, p2} = {q1, q2}, which with u < v on every edge
+    means e = f, so the diagonal stays exactly 0.  Each part's terms are
+    summed per entry as integers, then scaled by s_i once and added in part
+    order, with elementwise operations only: no BLAS call, whose bytes would
+    follow the thread count.  The strict upper triangle is then mirrored
+    into the lower one a strip of rows at a time, with no N x N temporary,
+    so C comes out exactly symmetric.  Each block is cut from C with its
+    all-zero rows and columns dropped, so its rows and columns are the pairs
+    where it has an entry.
     """
     n = profile.n
     if not side_fits(n):
@@ -191,21 +189,42 @@ def _accumulate_blocks(profile: DegreeProfile, mu: np.ndarray,
     fold = np.empty((n, n), dtype=np.int64)  # the row of C behind each ordered pair
     fold[u, v] = fold[v, u] = np.arange(size)
     folded = np.zeros(size * size)
-    for scale, rows, cols, products in _pair_terms(profile, mu):
-        at, slot = np.unique(fold.flat[rows] * size + fold.flat[cols], return_inverse=True)
-        folded[at] += np.bincount(slot, weights=products) * scale
+    lo = np.searchsorted(mu[:, 0], profile.part_ids, side="left")
+    hi = np.searchsorted(mu[:, 0], profile.part_ids, side="right")
+    # every pair e < f ordered by f, so those of a part's s edges come first
+    f_all, e_all = np.tril_indices(int((hi - lo).max(initial=0)), -1)
+    for t, a, b in zip(profile.t.tolist(), lo.tolist(), hi.tolist()):
+        if b - a < 2:
+            continue
+        _, eu, ev, ew = mu[a:b].T
+        first = slice((b - a) * (b - a - 1) // 2)
+        e, f = e_all[first], f_all[first]
+        ue, ve = np.concatenate([eu[e], eu[e]]), np.concatenate([ev[e], ev[e]])
+        rows = fold[ue, np.concatenate([eu[f], ev[f]])]  # FF, then FR
+        cols = fold[ve, np.concatenate([ev[f], eu[f]])]
+        keys = np.minimum(rows, cols) * size + np.maximum(rows, cols)  # upper triangle
+        at, slot = np.unique(keys, return_inverse=True)
+        products = 2 * ew[e] * ew[f]
+        sums = np.bincount(slot, weights=np.concatenate([products, products]))
+        folded[at] += sums * (1.0 / math.sqrt(t))
     folded = folded.reshape(size, size)
+    for r0 in range(0, size, _MIRROR_STRIP):
+        r1 = min(r0 + _MIRROR_STRIP, size)
+        folded[r0:r1, :r0] = folded[:r0, r0:r1].T
+        square = folded[r0:r1, r0:r1]
+        square += square.T  # its lower half is still 0
     pairs, weights = u * n + v, np.where(u == v, 1.0, 2.0)
-    live, classes = folded.any(axis=1), partition.classes[u, v]
+    nonzero, classes = folded != 0.0, partition.classes[u, v]
+    live = nonzero.any(axis=1)
     members = [np.flatnonzero(live & (classes == j)) for j in range(partition.levels + 1)]
     blocks: dict[tuple[int, int], Block] = {}
     for j, in_j in enumerate(members):
         for k, in_k in enumerate(members):
-            sub = folded[np.ix_(in_j, in_k)]
-            live_rows, live_cols = sub.any(axis=1), sub.any(axis=0)
+            hit = nonzero[np.ix_(in_j, in_k)]
+            live_rows, live_cols = hit.any(axis=1), hit.any(axis=0)
             if live_rows.any():
                 rows, cols = in_j[live_rows], in_k[live_cols]
-                blocks[(j, k)] = Block(j=j, k=k, mat=sub[np.ix_(live_rows, live_cols)],
+                blocks[(j, k)] = Block(j=j, k=k, mat=folded[np.ix_(rows, cols)],
                                        row_pairs=pairs[rows], col_pairs=pairs[cols],
                                        row_w=weights[rows], col_w=weights[cols])
     return blocks
@@ -220,14 +239,16 @@ def phi2_term(profile: DegreeProfile) -> float:
     return math.fsum(math.sqrt(t) for t in profile.t)
 
 
-def dup_correction(inst: PartitionedInstance, profile: DegreeProfile | None = None) -> float:
+def dup_correction(inst: PartitionedInstance, profile: DegreeProfile | None = None,
+                   mu: np.ndarray | None = None) -> float:
     """c_0 = Q - Phi_2 with Q = sum_i sum_e mu_i(e)^2 / sqrt(t_i); zero when duplicate-free.
 
-    Each part's sum of squares is an exact integer, and the outer sums are
-    fsums, so the verifier compares c_0 exactly.
+    mu, if given, is ``inst.mu_rows()``.  Each part's sum of squares is an
+    exact integer, and the outer sums are fsums, so the verifier compares
+    c_0 exactly.
     """
     profile = profile or degree_profile(inst)
-    mu = inst.mu_rows()
+    mu = inst.mu_rows() if mu is None else mu
     squares = np.bincount(np.searchsorted(profile.part_ids, mu[:, 0]),
                           weights=mu[:, 3] ** 2, minlength=len(profile.t))
     return math.fsum((squares / np.sqrt(profile.t)).tolist()) - phi2_term(profile)
@@ -354,7 +375,8 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
     table = butterfly(profile)
     partition = weight_classes(table, d=d_used, eps=eps, m=m, ell=ell_eff,
                                alpha_c=config.alpha_c)
-    blocks = _accumulate_blocks(profile, inst.mu_rows(), partition)
+    mu = inst.mu_rows()
+    blocks = _accumulate_blocks(profile, mu, partition)
     delta_block = config.block_delta / (partition.levels + 1) ** 2
     records = []
     for key in sorted(blocks):
@@ -373,7 +395,7 @@ def certify_dbounded(inst: PartitionedInstance, eps: float,
             sigma2=sigma2, r_bound=r_bound, bernstein_t=t_jk,
         ))
     phi2 = phi2_term(profile)
-    c0 = dup_correction(inst, profile)
+    c0 = dup_correction(inst, profile, mu)
     return DBoundedReport(
         m=m, n=inst.n, ell_eff=ell_eff, eps=eps, d_used=d_used,
         alpha=partition.alpha, beta=partition.beta, beta_clamped=partition.clamped,

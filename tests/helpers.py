@@ -3,8 +3,8 @@
 Each one recomputes, the slow and obvious way, something the library derives
 cleverly: the heavy/light split by repeated stripping, the signed pair
 multiplicities mu_i and the butterfly degrees by loops over the constraints,
-the canonical pair matrix over ordered pairs and its single blocks and
-single-part blocks, the
+the canonical pair matrix over ordered pairs, its fold onto unordered
+pairs, its single blocks and single-part blocks, the
 potential Phi evaluated directly and through the blocks, the exact block
 variance norm, the heavy side pulled back to partitioned constraints, the
 heavy side's bipartite relaxation optimum, a rounding lower bound on the
@@ -102,6 +102,37 @@ def pair_matrix_reference(inst: PartitionedInstance) -> np.ndarray:
                     for p1, q1 in (e, e[::-1]):
                         for p2, q2 in (f, f[::-1]):
                             out[p1 * n + p2, q1 * n + q2] += we * wf * scale
+    return out
+
+
+def folded_pair_reference(inst: PartitionedInstance) -> np.ndarray:
+    """The folded pair matrix C over unordered pairs, in ``np.triu_indices(n)`` order.
+
+    Each part's e != f terms of M, over both edge orders and both
+    orientations of each edge, are summed per unordered (row, column)
+    position as integers; each sum is scaled once by 1/sqrt(t_i), and the
+    parts are added in part order, so C matches the library bit for bit.
+    """
+    n = inst.n
+    index = {pair: i for i, pair in enumerate((u, v) for u in range(n) for v in range(u, n))}
+    sizes: dict[int, int] = {}
+    for part in inst.constraints[:, 0].tolist():
+        sizes[part] = sizes.get(part, 0) + 1
+    out = np.zeros((len(index), len(index)))
+    for part, table in mu_tables(inst).items():
+        edges = [(e, w) for e, w in table.items() if w != 0]
+        sums: dict[tuple[int, int], int] = {}
+        for i, (e, we) in enumerate(edges):
+            for j, (f, wf) in enumerate(edges):
+                if i != j:
+                    for p1, q1 in (e, e[::-1]):
+                        for p2, q2 in (f, f[::-1]):
+                            at = (index[min(p1, p2), max(p1, p2)],
+                                  index[min(q1, q2), max(q1, q2)])
+                            sums[at] = sums.get(at, 0) + we * wf
+        scale = 1.0 / math.sqrt(sizes[part])
+        for at, total in sums.items():
+            out[at] += total * scale
     return out
 
 

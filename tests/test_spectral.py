@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 import xorcert.spectral
 from conftest import dupfree_partitioned
 from helpers import (build_blocks, build_part_block, butterfly_reference,
-                     empirical_variance_norm, mu_tables, ordered_block, phi1_direct,
-                     phi1_from_blocks, phi_direct, symmetric_block_norm)
+                     empirical_variance_norm, folded_pair_reference, mu_tables, ordered_block,
+                     phi1_direct, phi1_from_blocks, phi_direct, symmetric_block_norm)
 from xorcert import (
+    DEFAULT_CONFIG,
     ButterflyTable,
+    GenSpec,
     PartitionedInstance,
     RefuteConfig,
     WeightClassPartition,
@@ -22,15 +25,19 @@ from xorcert import (
     brute_force_val,
     butterfly,
     certify_dbounded,
+    decompose,
     degree_profile,
     dup_correction,
+    gen_kxor,
     gen_random_partitioned,
+    kxor_to_partitioned,
     min_eig_check,
     phi2_term,
     spectral_norm,
     weight_classes,
 )
 from xorcert.linalg import SparseMat, _grid
+from xorcert.reduce import on_touched_vertices
 
 
 def _signs(rng, n):
@@ -182,6 +189,66 @@ def test_tables_match_loop_references(inst):
     reference = butterfly_reference(inst)
     assert np.count_nonzero(gamma) == len(reference)
     assert all(gamma[pair] == g for pair, g in reference.items())
+
+
+def _light3_side() -> tuple[PartitionedInstance, WeightClassPartition]:
+    """The light side of the light3 benchmark's first member as drawn, as refute_kxor builds it.
+
+    Random 3-XOR, n = 20, m = 1200, seed 1, refuted at eps 0.3: the side is
+    certified at eps / 2 with d the decomposition's degree cap.
+    """
+    inst = gen_kxor(GenSpec(kind="random", n=20, m=1200, seed=1, k=3))
+    dec = decompose(kxor_to_partitioned(inst).psi, 0.3, DEFAULT_CONFIG.c_split)
+    side = on_touched_vertices(dec.light)
+    profile = degree_profile(side)
+    return side, weight_classes(butterfly(profile), d=dec.d_cap, eps=0.15, m=side.m,
+                                ell=len(profile.t), alpha_c=DEFAULT_CONFIG.alpha_c)
+
+
+def _check_fold(inst: PartitionedInstance, partition: WeightClassPartition) -> None:
+    # C put back together from its blocks, over the unordered pairs in
+    # np.triu_indices order; a pair no block names is an all-zero row
+    u, v = np.triu_indices(inst.n)
+    row_of = np.full(inst.n * inst.n, -1)
+    row_of[u * inst.n + v] = np.arange(len(u))
+    folded = np.zeros((len(u), len(u)))
+    for block in build_blocks(inst, partition).values():
+        folded[np.ix_(row_of[block.row_pairs], row_of[block.col_pairs])] = block.mat
+    assert np.array_equal(folded, folded_pair_reference(inst))
+    assert np.array_equal(folded, folded.T)
+    assert not folded.diagonal().any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_partitioned(), st.sampled_from([1.0, 1e-5]))
+@example(_CANCELLING, 1e-5)
+@example(_ONE_EDGE_PART, 1e-5)
+def test_fold_matches_loop_reference_bit_for_bit(inst, alpha_c):
+    # per-part integer sums, one 1/sqrt(t_i) scale each, parts added in
+    # order: the reference makes the same roundings, so C matches exactly;
+    # alpha_c 1e-5 splits the side into several blocks
+    profile = degree_profile(inst)
+    _check_fold(inst, weight_classes(butterfly(profile), d=profile.max_degree(), eps=0.3,
+                                     m=inst.m, ell=len(profile.t), alpha_c=alpha_c))
+
+
+def test_light3_fold_matches_loop_reference_bit_for_bit():
+    _check_fold(*_light3_side())
+
+
+# SHA-256 of the light3 side's block bytes: mat, row_pairs and col_pairs of
+# each block in key order.  A rewrite of the fold that moves any byte of C
+# moves this digest.
+LIGHT3_BLOCK_SHA = "a3ff62bb3be9a8467b7dad9501787a269d835adf9958e6c9c9249952639c7b36"
+
+
+def test_light3_block_bytes_are_pinned():
+    blocks = build_blocks(*_light3_side())
+    digest = hashlib.sha256()
+    for key in sorted(blocks):
+        for array in (blocks[key].mat, blocks[key].row_pairs, blocks[key].col_pairs):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == LIGHT3_BLOCK_SHA
 
 
 def _weighted_check(block, u: float) -> bool:
