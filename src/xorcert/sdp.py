@@ -33,12 +33,15 @@ from .linalg import _grid, min_eig_check, psd_shift, z_matrix
 KG_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
 
 # the mixing method starts from a fixed Philox draw, so refute stays
-# deterministic.  Its first _MIX_PLAIN sweeps are plain and the rest are
-# over-relaxed by _MIX_OMEGA.  It stops once the dual is within a relative
-# _MIX_GAP of the primal, far below the 2^-24 grid of ``_rounded``, or
-# after _MIX_SWEEPS sweeps.  A gap check (one eigvalsh of order
-# s = min(a, b)) costs about 2s/r sweeps of rank r, so one check every
-# ceil(_MIX_CHECK * s / r) sweeps costs about a fifth of the sweeps' time.
+# deterministic.  Its first _MIX_PLAIN sweeps are plain and the next are
+# over-relaxed by _MIX_OMEGA, until two gap checks have measured the gap's
+# rate at _MIX_OMEGA; ``_sor_omega`` then sets the factor from that rate.  It
+# stops once the dual is within a relative _MIX_GAP of the primal, far below
+# the 2^-24 grid of ``_rounded``, or after _MIX_SWEEPS sweeps.  A gap check
+# (one eigvalsh of order s = min(a, b)) costs about 2s/r sweeps of rank r;
+# until a rate is known one check comes every ceil(_MIX_CHECK * s / r)
+# sweeps, about a fifth of the sweeps' time, and after that where the rate
+# predicts the gap reaches _MIX_GAP, at most four such intervals on.
 _MIX_OMEGA = 1.6
 _MIX_GAP = 1e-12
 _MIX_PLAIN = 16
@@ -136,6 +139,27 @@ def _on_boundary(m: np.ndarray, d_left: np.ndarray, d_right: np.ndarray) -> np.n
     return np.concatenate([d_left, d_right])
 
 
+def _sor_omega(rate: float, omega: float) -> float:
+    """Young's over-relaxation factor for a sweep whose error falls by rate at omega.
+
+    The bipartite Gauss-Seidel sweep is the consistently ordered two-cyclic
+    case of successive over-relaxation, where an eigenvalue lam of the
+    sweep at omega and mu of the Jacobi sweep satisfy
+    (lam + omega - 1)^2 = lam omega^2 mu^2, and the fastest factor is
+    2 / (1 + sqrt(1 - mu^2)) (D. M. Young, Iterative Solution of Large
+    Linear Systems, 1971, ch. 6).  This is that factor for the mu^2 implied
+    by rate, and never below omega; a rate outside (0, 1), NaN, or a
+    mu^2 >= 1 gives omega back.  For omega in [1, 2) the result lies in
+    [omega, 2), so SOR converges and ``_relaxed`` keeps its premise.
+    """
+    if not 0.0 < rate < 1.0:
+        return omega
+    mu2 = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
+    if not mu2 < 1.0:
+        return omega
+    return max(omega, 2.0 / (1.0 + math.sqrt(1.0 - mu2)))
+
+
 def _mixing_solve(m: np.ndarray) -> np.ndarray:
     """Multipliers d within a relative _MIX_GAP of the least sum(d) with Z(d) PSD.
 
@@ -144,11 +168,10 @@ def _mixing_solve(m: np.ndarray) -> np.ndarray:
     of rank r = ceil(sqrt(2(a+b))) + 1, high enough that, for almost every
     M, its local optima are global.  The dilation is bipartite, so an
     exact Gauss-Seidel sweep is two products.  After _MIX_PLAIN plain
-    sweeps, each row moves _MIX_OMEGA of the way to its Gauss-Seidel
-    target (successive over-relaxation): this cuts the sweeps of a slowly
-    converging M several-fold, but shrinks the error by no more than a
-    factor omega - 1 per sweep, so the plain sweeps first let a fast M
-    finish at the pace of plain Gauss-Seidel.
+    sweeps, each row moves omega of the way to its Gauss-Seidel target
+    (successive over-relaxation), omega = _MIX_OMEGA at first.  The plain
+    sweeps let a fast M finish at the pace of plain Gauss-Seidel, since
+    over-relaxation shrinks the error by no more than omega - 1 per sweep.
 
     The multipliers d = (|(M V_R)_i|, |(M^T V_L)_j|), moved onto the PSD
     boundary by ``_on_boundary``, make a dual: Z(d) PSD gives
@@ -157,6 +180,19 @@ def _mixing_solve(m: np.ndarray) -> np.ndarray:
     Once sum(d)/2 - primal <= _MIX_GAP * sum(d)/2, that d is within
     _MIX_GAP of the optimum, whatever the sweeps' order or start; it is
     returned times _MIX_RAISE.  Nothing here is trusted; ``_certify`` decides.
+
+    The schedule adapts to the relative gap g measured at each check.  A
+    rate is g's per-sweep ratio between two checks with one omega between
+    them.  The gap is second order in the error of V, so the error's rate
+    is the square root of g's.  The first rate at _MIX_OMEGA sets omega to
+    ``_sor_omega`` of that square root.  If g then falls less than half as
+    fast, in log terms, as it did at _MIX_OMEGA, omega goes back to
+    _MIX_OMEGA for good; the rate at _MIX_OMEGA comes from the fast start of
+    the solve and the rate at any omega slows as the fast error components
+    die out, so a strict comparison would undo good factors.  Once a rate
+    is known (after a change of omega, the rate (omega - 1)^2 that Young's
+    factor predicts), the next check is where it predicts g <= _MIX_GAP,
+    and at most 4 * ceil(_MIX_CHECK * min(a, b) / r) sweeps on.
     """
     a, b = m.shape
     rank = math.ceil(math.sqrt(2 * (a + b))) + 1
@@ -166,20 +202,43 @@ def _mixing_solve(m: np.ndarray) -> np.ndarray:
     v_left, v_right = v[:a], v[a:]
     g = m @ v_right
     d_left = _norms(g)
+    omega, start = 1.0, 0  # every sweep after sweep start ran at omega
+    base = None  # g's rate at _MIX_OMEGA, once measured
+    last, check = None, every  # the last check's (sweep, g), and the next check's sweep
     for sweep in range(1, _MIX_SWEEPS + 1):
-        omega = 1.0 if sweep <= _MIX_PLAIN else _MIX_OMEGA
+        if sweep == _MIX_PLAIN + 1:
+            omega, start = _MIX_OMEGA, _MIX_PLAIN
         v_left = _relaxed(g, d_left, v_left, omega)
         h = m.T @ v_left
         d_right = _norms(h)
         v_right = _relaxed(h, d_right, v_right, omega)
         g = m @ v_right
         d_left = _norms(g)
-        if sweep % every and sweep < _MIX_SWEEPS:
+        if sweep < check and sweep < _MIX_SWEEPS:
             continue
         d = _on_boundary(m, d_left, d_right)
         dual = math.fsum(d) / 2.0
-        if dual - float(np.einsum("ij,ij->", v_left, g)) <= _MIX_GAP * dual:
+        gap = dual - float(np.einsum("ij,ij->", v_left, g))
+        if gap <= _MIX_GAP * dual:
             break
+        gap = gap / dual if dual > 0.0 else math.nan
+        rate = math.nan
+        if last is not None and last[0] >= start and gap > 0.0 < last[1]:
+            rate = (gap / last[1]) ** (1.0 / (sweep - last[0]))
+        if base is None:
+            if start == _MIX_PLAIN and rate > 0.0:
+                base = rate
+                omega = _sor_omega(math.sqrt(rate), _MIX_OMEGA)
+                if omega > _MIX_OMEGA:
+                    start, rate = sweep, (omega - 1.0) ** 2
+        elif omega != _MIX_OMEGA and start == last[0] and not rate * rate <= base:
+            # the first rate at the new omega fails the guard
+            omega, start, rate = _MIX_OMEGA, sweep, base
+        last = (sweep, gap)
+        step = every
+        if 0.0 < rate < 1.0 and gap > 0.0:
+            step = max(1, min(4 * every, math.ceil(math.log(_MIX_GAP / gap) / math.log(rate))))
+        check = sweep + step
     return d * _MIX_RAISE
 
 

@@ -8,7 +8,8 @@ pairs, its single blocks and single-part blocks, the
 potential Phi evaluated directly and through the blocks, the exact block
 variance norm, the heavy side pulled back to partitioned constraints, the
 heavy side's bipartite relaxation optimum, a rounding lower bound on the
-infinity-to-one norm, and the digests of instances and subset dictionaries
+infinity-to-one norm, the mixing solve with one fixed over-relaxation factor
+and a gap check at a fixed interval, and the digests of instances and subset dictionaries
 through json.dumps.
 """
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 from xorcert import (BipartiteInstance, Decomposition, DegreeProfile, PartitionedInstance,
                      WeightClassPartition, bipartite_matrix, brute_force_inf1,
                      brute_force_val, canonical_json, degree_profile, phi2_term)
+from xorcert.sdp import (_MIX_CHECK, _MIX_GAP, _MIX_KEY, _MIX_OMEGA, _MIX_PLAIN, _MIX_RAISE,
+                         _MIX_SWEEPS, _norms, _on_boundary, _relaxed)
 from xorcert.spectral import Block, _accumulate_blocks
 
 
@@ -350,6 +353,39 @@ def inf1_lower_round(m: np.ndarray, trials: int = 32, seed: int = 0):
         if cand[0] > best[0]:
             best = cand
     return best
+
+
+def mixing_solve_reference(m: np.ndarray) -> np.ndarray:
+    """``sdp._mixing_solve`` with omega fixed at _MIX_OMEGA and a check every fixed interval.
+
+    _MIX_PLAIN plain sweeps, then every sweep over-relaxed by _MIX_OMEGA,
+    and a gap check every ceil(_MIX_CHECK * min(a, b) / r) sweeps; the same
+    start, sweeps, stop and raise as the library's solve, so both stop
+    within _MIX_GAP of the SDP optimum and round onto one certificate.
+    """
+    a, b = m.shape
+    rank = math.ceil(math.sqrt(2 * (a + b))) + 1
+    every = max(1, math.ceil(_MIX_CHECK * min(a, b) / rank))
+    v = np.random.Generator(np.random.Philox(key=_MIX_KEY)).standard_normal((a + b, rank))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v_left, v_right = v[:a], v[a:]
+    g = m @ v_right
+    d_left = _norms(g)
+    for sweep in range(1, _MIX_SWEEPS + 1):
+        omega = 1.0 if sweep <= _MIX_PLAIN else _MIX_OMEGA
+        v_left = _relaxed(g, d_left, v_left, omega)
+        h = m.T @ v_left
+        d_right = _norms(h)
+        v_right = _relaxed(h, d_right, v_right, omega)
+        g = m @ v_right
+        d_left = _norms(g)
+        if sweep % every and sweep < _MIX_SWEEPS:
+            continue
+        d = _on_boundary(m, d_left, d_right)
+        dual = math.fsum(d) / 2.0
+        if dual - float(np.einsum("ij,ij->", v_left, g)) <= _MIX_GAP * dual:
+            break
+    return d * _MIX_RAISE
 
 
 def json_digest(data: dict) -> str:

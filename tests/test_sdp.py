@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorcert.sdp
-from helpers import inf1_lower_round
+from helpers import inf1_lower_round, mixing_solve_reference
 from xorcert import (
+    DEFAULT_CONFIG,
     REFUTED,
     UNKNOWN,
     DualCert,
     GenSpec,
     KG_UPPER,
     PartitionedInstance,
+    bipartite_matrix,
     brute_force_inf1,
+    decompose,
     gen_kxor,
     gen_random_partitioned,
     inf1_upper,
@@ -24,7 +31,8 @@ from xorcert import (
 )
 from xorcert.pipeline import _whole_matrix
 from xorcert.reduce import kxor_to_partitioned
-from xorcert.sdp import _MIX_GAP, _MIX_RAISE, _certify, _mixing_solve
+from xorcert.sdp import (_MIX_GAP, _MIX_OMEGA, _MIX_RAISE, _MIX_SWEEPS, _certify,
+                         _mixing_solve, _sor_omega)
 
 
 def test_z_matrix_assembly():
@@ -259,6 +267,121 @@ def test_mixing_bound_is_tight_on_a_516_by_40_heavy_side():
     assert (report["rows"], report["cols"]) == (516, 39)
     assert report["bound"] < 4200.0
     assert verify_certificate_detailed(cert, inst) == (True, [])
+
+
+def _sor_rate(b: np.ndarray, omega: float) -> float:
+    """Spectral radius of one SOR sweep at omega on [[I, -B], [-B^T, I]] x = 0.
+
+    The Jacobi sweep of that system is [[0, B], [B^T, 0]], whose spectral
+    radius is the largest singular value of B.
+    """
+    p, q = b.shape
+    sweep = np.empty((p + q, p + q))
+    for j, x in enumerate(np.eye(p + q)):
+        top = (1.0 - omega) * x[:p] + omega * (b @ x[p:])
+        sweep[:, j] = np.concatenate([top, (1.0 - omega) * x[p:] + omega * (b.T @ top)])
+    return float(np.abs(np.linalg.eigvals(sweep)).max())
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("omega", [1.0, 1.3, 1.6])
+def test_sor_omega_is_youngs_factor_on_a_two_cyclic_model(mu, omega):
+    # below the best factor the sweep's rate gives the Jacobi radius mu back,
+    # and so Young's 2 / (1 + sqrt(1 - mu^2)); above it the rate is omega - 1,
+    # which keeps omega
+    b = np.random.default_rng(0).standard_normal((5, 3))
+    b *= mu / np.linalg.norm(b, 2)
+    best = 2.0 / (1.0 + math.sqrt(1.0 - mu * mu))
+    assert _sor_omega(_sor_rate(b, omega), omega) == pytest.approx(max(omega, best), rel=1e-9)
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, math.inf, 0.0, -0.25, -math.inf, math.nan])
+@pytest.mark.parametrize("omega", [1.0, 1.6])
+def test_sor_omega_keeps_omega_without_a_contraction(rate, omega):
+    assert _sor_omega(rate, omega) == omega
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True),
+       st.floats(min_value=1.0, max_value=2.0, exclude_max=True))
+def test_sor_omega_stays_in_omega_to_2(rate, omega):
+    # so SOR converges, and _relaxed's |v + omega(u - v)| >= 1 holds
+    assert omega <= _sor_omega(rate, omega) < 2.0
+
+
+def _light4_whole() -> np.ndarray:
+    psi = kxor_to_partitioned(gen_kxor(GenSpec(kind="random", n=14, m=300, seed=1, k=4))).psi
+    return _whole_matrix(psi)
+
+
+def _heavy_side(n: int, m: int) -> np.ndarray:
+    psi = kxor_to_partitioned(gen_kxor(GenSpec(kind="random", n=n, m=m, seed=1, k=3))).psi
+    return bipartite_matrix(decompose(psi, 0.4, DEFAULT_CONFIG.c_split).heavy)
+
+
+def _moved_sign_matrix(seed: int) -> np.ndarray:
+    # the signed and permuted copy of test_inf1_upper_ignores_signs_and_order
+    a = _sign_matrix(seed, 60, 12)
+    gen = np.random.default_rng(100 + seed)
+    flip_r = gen.choice([-1.0, 1.0], size=60)
+    flip_c = gen.choice([-1.0, 1.0], size=12)
+    return (flip_r[:, None] * a * flip_c)[np.ix_(gen.permutation(60), gen.permutation(12))]
+
+
+_REFERENCE_MATRICES = {
+    "light4-whole-79x79": _light4_whole,
+    "heavy3-random-111x19": lambda: _heavy_side(20, 6000),
+    "heavy-516x39": lambda: _heavy_side(40, 30000),
+    "hadamard-16": _hadamard_16,
+    **{f"sign-60x12-{seed}": (lambda seed=seed: _sign_matrix(seed, 60, 12)) for seed in range(4)},
+    **{f"sign-60x12-{seed}-moved": (lambda seed=seed: _moved_sign_matrix(seed))
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("build", _REFERENCE_MATRICES.values(), ids=_REFERENCE_MATRICES.keys())
+def test_mixing_solve_certifies_as_the_fixed_omega_solve(build):
+    # both stop within _MIX_GAP of the SDP optimum, far inside the grid of _rounded
+    m = build()
+    cert = _certify(m, _mixing_solve(m))
+    assert cert is not None and cert == _certify(m, mixing_solve_reference(m))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(xorcert.sdp, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(xorcert.sdp, name, counted)
+    return calls
+
+
+def test_mixing_solve_sets_omega_from_its_rate_on_light4(monkeypatch):
+    # omega fixed at 1.6 takes 420 sweeps and 10 gap checks on light4's A
+    a = _light4_whole()
+    relaxed = _count_calls(monkeypatch, "_relaxed")  # two per sweep
+    checks = _count_calls(monkeypatch, "_on_boundary")  # one per check: A is square
+    _mixing_solve(a)
+    assert len(relaxed) <= 2 * 250 and len(checks) <= 6
+    assert max(args[3] for args in relaxed) > _MIX_OMEGA
+
+
+def test_an_omega_that_slows_the_gap_is_undone(monkeypatch):
+    # 1.99 is far above the best factor: the gap falls more slowly than at
+    # 1.6, so the solve goes back to 1.6 and still stops on its gap
+    a = _light4_whole()
+    monkeypatch.setattr(xorcert.sdp, "_sor_omega", lambda rate, omega: 1.99)
+    relaxed = _count_calls(monkeypatch, "_relaxed")
+    d = _mixing_solve(a)
+    omegas = [args[3] for args in relaxed]
+    assert 1.99 in omegas and omegas[-1] == _MIX_OMEGA
+    assert len(omegas) // 2 < _MIX_SWEEPS
+    reference = mixing_solve_reference(a)
+    assert abs(d.sum() - reference.sum()) <= 2.0 * _MIX_GAP * reference.sum()
+    assert _certify(a, d) == _certify(a, reference)
 
 
 def test_refute_2xor_random_succeeds():
