@@ -3,7 +3,10 @@
 All randomness flows through numpy's Philox counter-based generator keyed by
 the GenSpec seed, so instances are reproducible across platforms.  Adversarial
 families fix the clause hypergraph as a deterministic function of the family
-parameters; re-seeding changes only the sign vector.
+parameters; re-seeding changes only the sign vector.  Random clauses are
+drawn for all rows at once by one bounded-integer call that consumes exactly
+the draws of numpy's per-row rng.choice (see _draw_sorted), so the seeded
+streams, and the instances drawn from them, are those of the per-row loop.
 """
 from __future__ import annotations
 
@@ -36,6 +39,9 @@ class GenSpec:
             raise ValueError("n must be positive")
         if _count(self.m, "m") < 1:
             raise ValueError("m must be positive")
+        _count(self.seed, "seed")
+        if self.k is not None:
+            _count(self.k, "k")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -43,9 +49,30 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw_sorted(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
-    """m rows of k distinct vertices from range(n), one Philox draw per row, each sorted."""
-    rows = np.array([rng.choice(n, size=k, replace=False) for _ in range(m)], dtype=np.int64)
-    return np.sort(rows.reshape(m, k), axis=1)
+    """m rows of k distinct vertices from range(n), each sorted, drawn from the
+    same Philox stream as m calls of rng.choice(n, size=k, replace=False).
+
+    For n <= 10000 or k <= n // 50, choice runs Floyd's algorithm: k bounded
+    draws on [0, j] for j = n-k .. n-1, a draw that repeats an earlier pick
+    replaced by j, then a shuffle of the picks that draws on [0, i] for
+    i = k-1 .. 1.  integers with an array of bounds uses the same bounded
+    draw, so one call on the tiled bounds consumes the loop's Philox stream;
+    the repeats are resolved column by column, and the shuffle's draws are
+    dropped since each row is sorted.  numpy's other branch, a tail shuffle
+    of range(n), keeps the per-row call.  tests/helpers.py keeps the loop,
+    and a test compares the rows and the generator state after them, so a
+    numpy release that changes choice's draws fails there.
+    """
+    if n > 10000 and k > n // 50:
+        rows = [rng.choice(n, size=k, replace=False) for _ in range(m)]
+        return np.sort(np.array(rows, dtype=np.int64).reshape(m, k), axis=1)
+    highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+    draws = rng.integers(0, np.tile(highs, m)).reshape(m, 2 * k - 1)
+    rows = draws[:, :k].copy()
+    for c in range(1, k):
+        repeat = (rows[:, :c] == rows[:, c:c + 1]).any(axis=1)
+        rows[repeat, c] = n - k + c
+    return np.sort(rows, axis=1)
 
 
 def _require_k(spec: GenSpec) -> int:
@@ -101,10 +128,11 @@ def gen_adversarial_hypergraph(spec: GenSpec) -> KXorInstance:
             raise ValueError("star family needs n >= 2")
         clauses = _star_clauses(spec.n, k, spec.m)
     elif spec.kind == "heavy-group":
-        group_size = int(spec.params.get("group_size", min(8, spec.m)))
+        group_size = _count(spec.params.get("group_size", min(8, spec.m)), "group_size")
         clauses = _heavy_group_clauses(spec.n, k, spec.m, group_size)
     elif spec.kind == "clustered":
-        cluster_size = int(spec.params.get("cluster_size", min(spec.n, max(k + 1, 2 * k))))
+        cluster_size = _count(spec.params.get("cluster_size", min(spec.n, max(k + 1, 2 * k))),
+                              "cluster_size")
         clauses = _clustered_clauses(spec.n, k, spec.m, cluster_size)
     else:
         raise ValueError(f"unknown adversarial family {spec.kind!r}")
@@ -127,6 +155,7 @@ def gen_random_partitioned(n: int, ell: int, m: int, seed: int) -> PartitionedIn
         raise ValueError("n must be >= 2")
     if _count(ell, "ell") < 1 or _count(m, "m") < 1:
         raise ValueError("ell and m must be positive")
+    _count(seed, "seed")
     rng = _rng(seed)
     parts = rng.integers(0, ell, size=m)
     pairs = _draw_sorted(rng, n, 2, m)

@@ -9,8 +9,8 @@ potential Phi evaluated directly and through the blocks, the exact block
 variance norm, the heavy side pulled back to partitioned constraints, the
 heavy side's bipartite relaxation optimum, a rounding lower bound on the
 infinity-to-one norm, the mixing solve with one fixed over-relaxation factor
-and a gap check at a fixed interval, and the digests of instances and subset dictionaries
-through json.dumps.
+and a gap check at a fixed interval, the digests of instances and subset dictionaries
+through json.dumps, and generated clauses drawn by one rng.choice call per row.
 """
 from __future__ import annotations
 
@@ -395,3 +395,13 @@ def json_digest(data: dict) -> str:
     json_digest(to_json_dict(inst)), and for SubsetDictionary.digest.
     """
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+
+
+def draw_sorted_reference(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """m rows of k distinct vertices from range(n), one rng.choice call per row, each sorted.
+
+    The reference for generate._draw_sorted, which must return the same rows
+    and leave rng in the same state.
+    """
+    rows = np.array([rng.choice(n, size=k, replace=False) for _ in range(m)], dtype=np.int64)
+    return np.sort(rows.reshape(m, k), axis=1)

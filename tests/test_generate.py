@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import draw_sorted_reference
 from xorcert import (FAMILIES, GenSpec, gen_adversarial_hypergraph, gen_kxor,
                      gen_random_partitioned, instance_digest, kxor_to_partitioned,
                      refute_kxor)
+from xorcert.generate import _draw_sorted, _rng
 
 
 def test_random_kxor_deterministic():
@@ -120,3 +125,84 @@ def test_dictionary_digest_is_pinned(k):
     inst = gen_kxor(GenSpec(kind="random", n=12, m=200, seed=5, k=k))
     assert refute_kxor(inst, 0.3).payload["reduction"]["dictionary_digest"] == (
         DICTIONARY_DIGESTS[k])
+
+
+# instance_digest (the sha256sum of the file xorcert writes) of the benchmark's
+# own sizes, recorded with numpy 2.4.6 from the per-row choice loop
+@pytest.mark.parametrize("make,digest", [
+    (lambda: gen_kxor(GenSpec(kind="random", n=20, m=6000, seed=1, k=3)),
+     "b064b787066b0952548bad9ec709b413356d5b8c4789e4065865ad803a4149a6"),
+    (lambda: gen_random_partitioned(30, 5, 3000, 1),
+     "dc7fe8bd05493f50918cd196a49d676cd9deec1a03d947ae68bf62eef4c59bd0"),
+    (lambda: gen_kxor(GenSpec(kind="heavy-group", n=20, m=1000, seed=1, k=3,
+                              params={"group_size": 350})),
+     "cd1054fec63dc8e3d1a24070076bcd6a5ae7d821587f7c5a66f3ecb7f3fdc56a"),
+], ids=["random3-n20-m6000", "p2xor-n30-m3000", "heavy-group3-n20-m1000"])
+def test_benchmark_sized_digest_is_pinned(make, digest):
+    assert instance_digest(make()) == digest
+
+
+def _philox_state(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+def _assert_draws_like_choice(n: int, k: int, m: int, seed: int) -> None:
+    fast, slow = _rng(seed), _rng(seed)
+    rows = _draw_sorted(fast, n, k, m)
+    expected = draw_sorted_reference(slow, n, k, m)
+    assert rows.dtype == np.int64 and rows.shape == (m, k)
+    assert np.array_equal(rows, expected)
+    # the same state, so the sign draw that follows is the same too
+    assert _philox_state(fast) == _philox_state(slow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_draw_sorted_replays_per_row_choice(data):
+    n = data.draw(st.integers(2, 40))
+    k = data.draw(st.integers(2, min(n, 7)))
+    m = data.draw(st.integers(0, 60))
+    _assert_draws_like_choice(n, k, m, data.draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@pytest.mark.parametrize("n,k,m", [
+    (6, 6, 40),            # k = n: the first pick has no choice
+    (12, 3, 0),            # the heavy-group background when group_size == m
+    (2 ** 40, 4, 50),      # bounds past 2^32 take 64-bit draws
+    (10001, 200, 4),       # largest k at n = 10001 that choice draws by Floyd's algorithm
+    (10001, 201, 3),       # one more, and choice shuffles a tail of range(n) instead
+])
+def test_draw_sorted_replays_per_row_choice_at_the_edges(n, k, m):
+    _assert_draws_like_choice(n, k, m, 1)
+
+
+def test_heavy_group_of_every_clause_has_no_background():
+    inst = gen_kxor(GenSpec(kind="heavy-group", n=10, m=30, seed=0, k=3,
+                            params={"group_size": 30}))
+    assert inst.m == 30 and all(cl[:2] == [0, 1] for cl in inst.clauses.tolist())
+
+
+@pytest.mark.parametrize("spec", [
+    dict(k=3.0),
+    dict(k=True),
+    dict(seed=True),
+    dict(seed=1.0),
+    dict(kind="heavy-group", params={"group_size": 3.7}),
+    dict(kind="heavy-group", params={"group_size": True}),
+    dict(kind="heavy-group", params={"group_size": "5"}),
+    dict(kind="clustered", params={"cluster_size": 4.9}),
+], ids=["float-k", "bool-k", "bool-seed", "float-seed", "float-group", "bool-group",
+        "str-group", "float-cluster"])
+def test_genspec_rejects_non_integers(spec):
+    # a float or a boolean is bad input, never rounded
+    fields = dict(kind="random", n=10, m=30, seed=1, k=3) | spec
+    with pytest.raises(ValueError, match="must be an int64 integer"):
+        gen_kxor(GenSpec(**fields))
+
+
+def test_random_partitioned_rejects_a_boolean_seed():
+    with pytest.raises(ValueError, match="seed must be an int64 integer"):
+        gen_random_partitioned(7, 3, 50, seed=True)
